@@ -147,8 +147,8 @@ echo "== scheduler regression guard =="
 # bands absorb same-machine noise while still catching anything in the
 # "lost the wheel" class (the rewrite moved these micros 7-10x).
 # The committed baseline was measured with the compiled core active; a
-# host without a working C toolchain falls back to the pure-Python wheel
-# (~8x slower on these micros, deliberately), so the throughput band is
+# host without a working C toolchain runs the reference heap engine
+# (several times slower on these micros), so the throughput band is
 # only meaningful when the compiled core actually loaded.
 if python -c "from repro.sim.engine import CEngine; import sys; \
 sys.exit(0 if CEngine is not None else 1)"; then

@@ -9,10 +9,12 @@ engine statistics — as plain data, with the :class:`ScenarioResult`
 convenience API mirrored method-for-method so experiments, benchmarks
 and the CLI read either object the same way.
 
-``ScenarioSummary.as_payload()`` is the deterministic face: it excludes
-wall-clock fields (which differ between otherwise identical runs) so the
+``ScenarioSummary.as_payload()`` is the deterministic face: its engine
+block keeps only the statistics every engine core computes identically
+(no wall-clock fields, which differ between otherwise identical runs, and
+no scheduler-layout fields, which differ between cores), so the
 key-sorted JSONL export of a parallel sweep is byte-identical to the
-serial run's.
+serial run's on either core.
 """
 
 from __future__ import annotations
@@ -29,21 +31,22 @@ from repro.obs.timeseries import TimeSeries, series_payload
 from repro.metrics.series import BinnedSeries, GaugeSeries
 from repro.metrics.summary import Summary, describe
 from repro.metrics.throughput import HostThroughput
+from repro.sim.engine import SHARED_STATS_KEYS
 from repro.tcp.listener import ListenerStats
-
-#: ``engine.stats()`` keys that vary run-to-run on identical simulations.
-TIMING_KEYS = ("wall_seconds", "sim_wall_ratio")
 
 
 def deterministic_engine_stats(stats: Dict[str, float]
                                ) -> Dict[str, float]:
-    """``engine.stats()`` with the run-to-run-varying timing keys removed.
+    """``engine.stats()`` cut to :data:`SHARED_STATS_KEYS`.
 
-    Safe to embed in exported/compared sweep cells; still carries
-    ``sim_seconds`` and ``events_processed`` for runner accounting.
+    Those are the keys every engine core computes identically: wall-clock
+    fields (which vary run to run) and scheduler-layout fields such as
+    ``compactions`` and ``heap_high_water`` (which differ between a heap
+    and a wheel) are dropped. Safe to embed in exported/compared sweep
+    cells; still carries ``sim_seconds`` and ``events_processed`` for
+    runner accounting. Manifests keep the full ``stats()``.
     """
-    return {key: value for key, value in stats.items()
-            if key not in TIMING_KEYS}
+    return {key: stats[key] for key in SHARED_STATS_KEYS}
 
 
 @dataclass
@@ -275,27 +278,22 @@ class ScenarioSummary:
         return 100.0 * completed / attempts
 
     # ------------------------------------------------------------------
-    def as_payload(self, include_timing: bool = False
-                   ) -> Dict[str, object]:
+    def as_payload(self) -> Dict[str, object]:
         """Deterministic JSON-friendly digest of the run.
 
-        Wall-clock figures are excluded by default: two runs of the same
-        seeded config must produce identical payloads (the serial-vs-
-        parallel byte-identity contract). Pass ``include_timing=True``
-        for manifests, where the timings are the point.
+        Two runs of the same seeded config must produce identical
+        payloads on any engine core (the serial-vs-parallel and
+        cross-core byte-identity contracts), so the engine block is
+        :func:`deterministic_engine_stats`.
         """
         from repro.runner.export import to_jsonable
         from repro.runner.hashing import stable_hash
 
-        engine_stats = dict(self.engine_stats)
-        if not include_timing:
-            for key in TIMING_KEYS:
-                engine_stats.pop(key, None)
         payload: Dict[str, object] = {
             "config_fingerprint": stable_hash(self.config),
             "seed": self.config.seed,
             "defense": self.config.defense.value,
-            "engine_stats": engine_stats,
+            "engine_stats": deterministic_engine_stats(self.engine_stats),
             "listener_stats": {
                 name: getattr(self.listener_stats, name)
                 for name in sorted(vars(self.listener_stats))

@@ -1,4 +1,4 @@
-"""Fabric-fold acceleration: a whole path's ``Link.offer`` chain in one call.
+"""Fabric fold: a whole path's ``Link.offer`` chain in one call.
 
 ``Network.send`` folds every packet through the directed links of its
 (static) path. The per-link arithmetic is tiny — a droptail check, a
@@ -7,9 +7,10 @@ Python frames around it dominate. A :class:`FabricPath` caches a path's
 link sequence once and exposes ``fold(now, size_bytes)``, which performs
 the entire chain:
 
-* :class:`PyFabricPath` is the pure-Python fold — exactly the historical
-  per-link ``link.offer`` loop, one frame instead of one per link. It is
-  the always-available fallback, so ``REPRO_ENGINE=py`` stays first-class.
+* :func:`fold_links` is the fold in Python — the per-link
+  ``link.offer`` loop — and :class:`PyFabricPath` binds it to a cached
+  path. It is the reference the compiled fold is gated against, and the
+  fold that runs whenever the compiled one is not adopted.
 * The compiled core (``repro.sim._cengine.FabricPath``) performs the same
   arithmetic in C, reading and writing each link's ``__dict__`` so the
   Python ``Link`` objects remain the single source of truth (fault
@@ -19,38 +20,40 @@ the entire chain:
   same order as CPython floats are bit-identical, so drop decisions and
   arrival times match to the last ulp.
 
-The compiled class is adopted only after :func:`_fabric_gate` — a
-randomized differential self-test against :class:`PyFabricPath` — passes,
-mirroring how :mod:`repro.sim.engine` gates its compiled engine.
+The compiled fold ships in the engine's extension module. It is adopted
+only when :mod:`repro.sim.engine` adopted that build's engine
+(``CEngine``) and :func:`_fabric_gate` — a randomized differential
+self-test against the Python fold — passes.
 
 A C fold returns ``NotImplemented`` instead of touching any state when it
 cannot reproduce Python semantics exactly (a link-level fault hook is
 installed, or the size would raise): callers then re-fold through
-:func:`fold_links`, the per-link reference loop.
+:func:`fold_links`.
 
-``REPRO_FABRIC`` controls the whole batched flood fast path:
+``REPRO_FABRIC`` selects the flood pipeline:
 
-* ``auto`` (default) — batched; compiled fold only if the engine's
-  compiled core was itself built and adopted (``REPRO_ENGINE`` not py);
-* ``py`` — batched, pure-Python fold, never builds C;
-* ``c`` — batched, compiled fold required (build or gate failure fatal);
-* ``packet`` / ``off`` — the historical per-packet path: pure-Python
-  folds and no flyweight SYN/reply fast paths (see
-  :mod:`repro.net.floodpath`). Used by the differential suite to prove
-  the batched path byte-identical.
+* ``auto`` (default, also when unset or empty) — the batched flyweight
+  fast paths of :mod:`repro.net.floodpath`, folding in C when the
+  compiled fold was adopted and in Python otherwise;
+* ``packet`` — the historical per-packet pipeline with Python folds.
+  The differential suite uses it to prove the batched path
+  byte-identical.
+
+Any other value raises :class:`~repro.errors.SimulationError` at import.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Optional
 
 from repro.errors import SimulationError
 
 
 def fold_links(links, now: float, size_bytes: int) -> Optional[float]:
-    """Reference per-link fold: offer to each link in order.
+    """The Python fold: offer to each link in order.
 
     Returns the far-end arrival time, or ``None`` once any link drops
     (droptail, loss or fault) — the same contract as ``FabricPath.fold``.
@@ -65,21 +68,15 @@ def fold_links(links, now: float, size_bytes: int) -> Optional[float]:
 
 
 class PyFabricPath:
-    """Pure-Python cached-path fold (the reference implementation)."""
+    """A cached path folded in Python by :func:`fold_links`."""
 
-    __slots__ = ("links",)
+    __slots__ = ("links", "fold")
 
     def __init__(self, links) -> None:
         self.links = tuple(links)
-
-    def fold(self, now: float, size_bytes: int) -> Optional[float]:
-        arrival = now
-        for link in self.links:
-            offered = link.offer(arrival, size_bytes)
-            if offered is None:
-                return None
-            arrival = offered
-        return arrival
+        #: ``fold(now, size_bytes)``: :func:`fold_links` over this path,
+        #: bound without a wrapper frame.
+        self.fold = partial(fold_links, self.links)
 
 
 def _fabric_gate(cfabric_cls) -> bool:
@@ -149,30 +146,22 @@ def _fabric_gate(cfabric_cls) -> bool:
         return False
 
 
+_FABRIC_MODES = ("auto", "packet")
+_MODE = (os.environ.get("REPRO_FABRIC") or "auto").strip().lower()
+if _MODE not in _FABRIC_MODES:
+    raise SimulationError(
+        f"REPRO_FABRIC={os.environ['REPRO_FABRIC']!r} is not one of "
+        f"{', '.join(_FABRIC_MODES)}")
+#: Whether the flyweight flood fast paths (repro.net.floodpath) engage.
+BATCHED = _MODE == "auto"
 CFabricPath = None
 FabricPath = PyFabricPath
-_FABRIC_MODE = os.environ.get("REPRO_FABRIC", "auto").strip().lower()
-#: Whether the flyweight flood fast paths (repro.net.floodpath) engage.
-#: "packet"/"off" forces the historical per-packet pipeline end to end.
-BATCHED = _FABRIC_MODE not in ("packet", "off")
-if BATCHED and _FABRIC_MODE not in ("py", "python"):
-    # Reuse the extension module the engine already built; in auto mode
-    # never trigger a build the engine's own REPRO_ENGINE policy skipped.
-    import repro.sim.engine  # noqa: F401  (runs the engine's adoption tail)
+if BATCHED:
+    from repro.sim.engine import CEngine
 
-    _cmod = sys.modules.get("repro.sim._cengine")
-    if _cmod is None and _FABRIC_MODE == "c":
-        from repro.sim.accel import load_cengine as _load_cengine
-
-        _cmod = _load_cengine()
-    if _cmod is not None and hasattr(_cmod, "FabricPath"):
-        if _fabric_gate(_cmod.FabricPath):
-            CFabricPath = _cmod.FabricPath
-            FabricPath = _cmod.FabricPath  # type: ignore[misc]
-        elif _FABRIC_MODE == "c":
-            raise SimulationError(
-                "REPRO_FABRIC=c but the compiled fabric fold failed the "
-                "differential self-test against the Python reference")
-    elif _FABRIC_MODE == "c":
-        raise SimulationError(
-            "REPRO_FABRIC=c but the compiled core exports no FabricPath")
+    # Trust the build's fold only if the same build's engine passed its
+    # own gate; a rejected build stays unused.
+    if CEngine is not None:
+        _cfold = sys.modules[CEngine.__module__].FabricPath
+        if _fabric_gate(_cfold):
+            CFabricPath = FabricPath = _cfold

@@ -1,9 +1,11 @@
 """Discrete-event simulation engine.
 
-A deliberately small, fast core: a binary-heap event queue keyed on
-``(time, sequence)``, a simulation clock, seeded per-stream random number
-generators, and a handful of process helpers (periodic and Poisson arrival
-processes) that the host models build on.
+A deliberately small, fast core: an event queue keyed on
+``(time, sequence)`` — the compiled timer wheel when it builds and passes
+its differential gate, the reference binary heap otherwise (see
+:mod:`repro.sim.engine`) — a simulation clock, seeded per-stream random
+number generators, and a handful of process helpers (periodic and Poisson
+arrival processes) that the host models build on.
 
 The engine substitutes for the paper's DETER testbed: experiments that ran
 for 600 wall-clock seconds on physical machines run here as simulated

@@ -1,17 +1,21 @@
 /* Compiled core of the discrete-event engine.
  *
- * A faithful C translation of the timer-wheel Engine in
- * repro/sim/engine.py: same bucketed calendar queue (WHEEL_SLOTS ring of
- * per-tick buckets), same lazy-deletion overflow heap with compaction,
- * same batched dispatch, same (time, seq) total order, same stats keys.
- * The Python module differentially self-tests this class against the
- * pure-Python reference at import and only then adopts it, so any
- * semantic drift between the two implementations disqualifies this one
- * rather than corrupting runs.
+ * A timer-wheel scheduler behind the API of the reference heap engine
+ * (repro/sim/reference.py): a ring of WHEEL_SLOTS per-tick buckets for
+ * near-future events plus a lazy-deletion overflow heap with compaction
+ * for the rest, dispatched a whole tick at a time. repro/sim/engine.py
+ * differentially self-tests this class against the reference heap at
+ * import and only then adopts it, so any semantic drift between the two
+ * disqualifies this one rather than corrupting runs.
  *
- * Invariants mirrored from the Python engine:
- *   - events fire in exact (time, seq) order; seq is the schedule counter;
+ * Invariants:
+ *   - events fire in exact (time, seq) order; seq is the schedule counter.
+ *     tick(t) = (long long)(t * inv_gran) is monotone in t, buckets are
+ *     dispatched in tick order and each bucket is sorted by (time, seq)
+ *     before dispatch, so the tick width affects speed, never order;
  *   - wheel residents always satisfy tick in [cursor, cursor+WHEEL_SLOTS);
+ *     the overflow heap holds only events a full wheel span ahead, and
+ *     migrates them before the cursor could reach them;
  *   - Event.cancel is O(1): swap-remove from the wheel bucket, flag-only
  *     in the active batch, lazy + compaction in the overflow heap;
  *   - with no profiler attached a run() makes exactly two perf_counter
@@ -581,7 +585,7 @@ insert_event(EngineObject *self, double time, PyObject *callback,
     PyObject_GC_Track(ev);
 
     double scaled = time * self->inv_gran;
-    if (scaled != scaled) {  /* NaN: match int(nan) in the Python engine */
+    if (scaled != scaled) {  /* NaN has no tick: fail like int(nan) */
         Py_DECREF(ev);
         PyErr_SetString(PyExc_ValueError,
                         "cannot convert float NaN to integer");

@@ -7,12 +7,10 @@ compiler into ``_build/`` (cached by source hash, so edits rebuild and
 stale artifacts are ignored) and loads it as an extension module. When
 no compiler is available, the build fails, or the differential
 self-test in :mod:`repro.sim.engine` rejects the result, the simulator
-transparently falls back to the pure-Python engine — the compiled core
-is an accelerator, never a dependency.
+transparently runs on the reference heap engine instead — the compiled
+core is an accelerator, never a dependency.
 
-Set ``REPRO_ENGINE=py`` to skip the build entirely, ``REPRO_ENGINE=c``
-to make a build/gate failure fatal, and ``REPRO_ENGINE_DEBUG=1`` to see
-why a fallback happened.
+Set ``REPRO_ENGINE=py`` to skip the build entirely.
 """
 
 from __future__ import annotations
@@ -99,8 +97,7 @@ def load_cengine() -> Optional[ModuleType]:
     """Compile (if needed) and import the C engine core.
 
     Returns the extension module, or raises on any failure — the caller
-    (:mod:`repro.sim.engine`) decides whether a failure is fatal based
-    on ``REPRO_ENGINE``.
+    (:mod:`repro.sim.engine`) then falls back to the reference heap.
     """
     if not os.path.exists(_SOURCE):
         raise FileNotFoundError(_SOURCE)

@@ -1,29 +1,37 @@
-"""Reference binary-heap scheduler, kept for differential testing.
+"""The binary-heap engine: the simulator's oracle and its Python engine.
 
-This module preserves the original heap-for-everything `Engine` (lazy
-deletion + periodic compaction) that shipped before the timer-wheel
-rewrite in :mod:`repro.sim.engine`. It is **not** used by the simulator;
-the property/differential suite in ``tests/sim/`` runs randomized
-schedule/cancel/run workloads through both implementations and asserts
-identical event order, so any behavioural drift in the wheel shows up as
-a diff against this one.
+One heap of ``(time, seq, event)`` entries for everything, with lazy
+deletion and periodic compaction — the engine that shipped before the
+compiled timer wheel. It has two jobs:
 
-The implementation is intentionally a verbatim copy of the pre-wheel
-engine (same tie-breaking, same clock-jump semantics, same stop/drain
-behaviour) rather than a simplified model: the differential tests are
-only as strong as the fidelity of the oracle.
+* **Oracle.** :mod:`repro.sim.engine` adopts the compiled core only if
+  it reproduces this engine's fire order and shared bookkeeping on a
+  mixed workload, and the differential suite in ``tests/sim/`` drives
+  randomized schedule/cancel/run workloads through both and asserts
+  identical outcomes. It is a different algorithm from the wheel, so
+  the two are unlikely to share a bug.
+* **Fallback.** It is the ``Engine`` whenever the compiled core is not
+  adopted: no compiler, a failed build or gate, or ``REPRO_ENGINE=py``.
+
+The scheduling logic is intentionally kept verbatim (same tie-breaking,
+same clock-jump semantics, same stop/drain behaviour) rather than
+tuned: the differential tests are only as strong as the fidelity of the
+oracle. ``run`` shares the compiled core's run-level contract — the
+generational GC is held while dispatching, and ``perf_counter`` is read
+through :mod:`repro.sim.engine`.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
-from time import perf_counter
+import sys
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SimulationError
 
-#: Never compact a heap smaller than this (mirrors the engine's overflow
-#: tier constant).
+#: Never compact a heap smaller than this (the compiled core's overflow
+#: tier uses the same constant).
 COMPACT_MIN_HEAP = 64
 
 
@@ -55,7 +63,7 @@ class ReferenceEvent:
 
 
 class ReferenceHeapEngine:
-    """The pre-wheel discrete-event engine: one binary heap for everything.
+    """The heap discrete-event engine: one binary heap for everything.
 
     Events are ``(time, seq, event)`` tuples on a heap; cancellation is a
     flag (lazy deletion) and the heap is compacted — rebuilt without dead
@@ -172,9 +180,19 @@ class ReferenceHeapEngine:
         self._stopped = False
         processed_this_run = 0
         profiler = self._profiler
+        # Looked up per run, as the compiled core does, so a perf_counter
+        # monkeypatched on repro.sim.engine sees every call.
+        perf_counter = sys.modules["repro.sim.engine"].perf_counter
         run_started = perf_counter()
         heap = self._heap
         heappop, heappush = heapq.heappop, heapq.heappush
+        # Hold the cyclic GC for the dispatch loop: event/packet churn is
+        # refcount-managed (no cycles), so generational scans are pure
+        # overhead at flood rates. Restored in the `finally`; left alone
+        # if the caller already disabled it.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
         try:
             while heap:
                 if self._stopped:
@@ -202,6 +220,8 @@ class ReferenceHeapEngine:
                     break
         finally:
             self._running = False
+            if gc_was_enabled:
+                gc.enable()
             self._wall_seconds += perf_counter() - run_started
         if until is not None and not self._stopped and self._now < until:
             self._now = until

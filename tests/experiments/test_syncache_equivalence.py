@@ -134,7 +134,7 @@ print(json.dumps({
 
 ENGINE_MODES = ["py"]
 if CEngine is not None:
-    ENGINE_MODES.append("c")
+    ENGINE_MODES.append("auto")
 
 
 def _probe(impl: str, engine_mode: str) -> dict:
@@ -161,4 +161,4 @@ def test_default_policy_matches_seed_cache(engine_mode):
                     reason="compiled engine unavailable on this host")
 def test_reworked_cache_identical_across_engine_cores():
     """The reworked cache keeps the cross-core determinism contract."""
-    assert _probe("new", "py") == _probe("new", "c")
+    assert _probe("new", "py") == _probe("new", "auto")

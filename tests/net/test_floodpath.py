@@ -8,12 +8,16 @@ scheme that forgets the fast path fails here instead of as a byte
 mismatch deep inside the differential suite.
 """
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.crypto.sha256 import HashCounter
-from repro.net.fabric import CFabricPath, PyFabricPath, fold_links
+from repro.net.fabric import (CFabricPath, PyFabricPath, _fabric_gate,
+                              fold_links)
 from repro.net.floodpath import (MSS_SYNACK_SIZE, challenge_synack_size,
                                  plain_synack_size)
 from repro.net.link import Link
@@ -139,3 +143,98 @@ class TestCompiledFabricEquivalence:
         assert path.fold(0.0, 100) is NotImplemented
         assert _link_state(links) == before
         assert fold_links(links, 0.0, 100) is None
+
+
+class _EscapingFold:
+    """A Python fold with the compiled fold's escape hatches: faulted
+    links, patched ``offer``s and sizes that would raise go back to the
+    caller untouched."""
+
+    def __init__(self, links):
+        self.links = tuple(links)
+
+    def fold(self, now, size_bytes):
+        if size_bytes <= 0 or any(link.fault is not None
+                                  or "offer" in vars(link)
+                                  for link in self.links):
+            return NotImplemented
+        return fold_links(self.links, now, size_bytes)
+
+
+class _SkipsLossDraw(_EscapingFold):
+    """A wrong fold: lossy links never draw from their rng."""
+
+    def fold(self, now, size_bytes):
+        rates = [link.loss_rate for link in self.links]
+        for link in self.links:
+            link.loss_rate = 0.0
+        try:
+            return super().fold(now, size_bytes)
+        finally:
+            for link, rate in zip(self.links, rates):
+                link.loss_rate = rate
+
+
+_REJECTED_BUILD_PROBE = r"""
+import importlib.util, json, os, sys, types
+
+# Load the real loader by path: importing repro.sim.accel would import
+# repro.sim, which runs core adoption before the stub is in place.
+accel_path = os.path.join(
+    os.path.dirname(importlib.util.find_spec("repro").origin),
+    "sim", "accel.py")
+spec = importlib.util.spec_from_file_location("_real_accel", accel_path)
+real_accel = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(real_accel)
+
+
+def load_cengine():
+    # Build and register the real extension module, but offer an engine
+    # that scales every delay: the engine gate must reject this build.
+    real_accel.load_cengine()
+    from repro.sim.reference import ReferenceHeapEngine
+
+    class ScaledDelays(ReferenceHeapEngine):
+        def schedule(self, delay, callback, *args):
+            return super().schedule(2 * delay, callback, *args)
+
+    return types.SimpleNamespace(Engine=ScaledDelays)
+
+
+stub = types.ModuleType("repro.sim.accel")
+stub.load_cengine = load_cengine
+sys.modules["repro.sim.accel"] = stub
+
+from repro.net import fabric
+from repro.sim import engine
+
+print(json.dumps({
+    "build_loaded": "repro.sim._cengine" in sys.modules,
+    "engine_adopted": engine.CEngine is not None,
+    "fold_adopted": fabric.CFabricPath is not None,
+}, sort_keys=True))
+"""
+
+
+class TestFabricAdoption:
+    """The fold gate must be able to say no, and a build whose engine
+    was rejected must not contribute its fold."""
+
+    @pytest.mark.parametrize("fold_cls,adopted", [
+        pytest.param(_EscapingFold, True, id="python-fold"),
+        pytest.param(_SkipsLossDraw, False, id="skips-loss-draw"),
+    ] + ([pytest.param(CFabricPath, True, id="c")]
+         if CFabricPath is not None else []))
+    def test_gate_verdict(self, fold_cls, adopted):
+        assert _fabric_gate(fold_cls) is adopted
+
+    @pytest.mark.skipif(CFabricPath is None,
+                        reason="compiled fabric fold not adopted")
+    def test_fold_from_rejected_build_is_not_adopted(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REJECTED_BUILD_PROBE],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"build_loaded": True,
+                                           "engine_adopted": False,
+                                           "fold_adopted": False}

@@ -1,11 +1,15 @@
-"""Differential tests: the timer-wheel engine vs the reference heap.
+"""Differential tests: the compiled timer wheel vs the reference heap.
 
-The wheel engine (:mod:`repro.sim.engine`, Python and compiled cores)
-must be observationally identical to the pre-wheel binary-heap engine
-preserved in :mod:`repro.sim.reference` — same fire order, same
-``(time, seq)`` tie-breaking, same run/stop/drain semantics, same
-public bookkeeping. These tests drive randomized mixed workloads
-through every implementation and diff the outcomes.
+The compiled core adopted by :mod:`repro.sim.engine` must be
+observationally identical to the binary-heap engine in
+:mod:`repro.sim.reference` — same fire order, same ``(time, seq)``
+tie-breaking, same run/stop/drain semantics, same shared bookkeeping.
+The heap is also the engine that runs under ``REPRO_ENGINE=py``, so
+every invariant here is checked on both cores. These tests drive
+randomized mixed workloads through each implementation and diff the
+outcomes, check that the adoption gate rejects a wrong core and
+unknown knob values, and run whole scenario cells across the
+{``REPRO_ENGINE``} x {``REPRO_FABRIC``} matrix.
 
 Engine-internal counters (``compactions``, ``heap_high_water``,
 ``pending``) are *excluded* from the diff: the wheel's overflow tier
@@ -17,6 +21,7 @@ externally visible behaviour stays fixed.
 from __future__ import annotations
 
 import gc
+import heapq
 import json
 import os
 import random
@@ -26,8 +31,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.engine import CEngine, PyEngine
-from repro.sim.reference import ReferenceHeapEngine
+from repro.sim.engine import CEngine, _differential_gate
+from repro.sim.reference import ReferenceEvent, ReferenceHeapEngine
 
 #: Delays spanning every scheduler tier: same-instant ties, sub-slot,
 #: single-slot, mid-wheel, the wheel horizon boundary (256 slots of
@@ -39,7 +44,16 @@ DELAYS = (0.0, 0.0, 1e-05, 2.5e-4, 1e-3, 3.3e-3, 0.05, 0.254, 0.256,
 STAT_KEYS = ("events_scheduled", "events_processed", "events_cancelled",
              "pending_live", "sim_seconds")
 
-ENGINES = [pytest.param(PyEngine, id="py")]
+#: Keys read from ``engine.stats()`` under ``src/``: the ones above plus
+#: ``compactions`` (CLI, Prometheus export, perf, microbench),
+#: ``heap_high_water`` (export, perf, microbench), ``pending`` (export,
+#: perf) and the wall-clock pair (CLI, export, runner).
+SRC_STATS_KEYS = STAT_KEYS + ("compactions", "heap_high_water", "pending",
+                              "wall_seconds", "sim_wall_ratio")
+
+#: Every engine the simulator can run on: ``py`` is what
+#: ``REPRO_ENGINE=py`` selects, ``c`` the compiled core.
+ENGINES = [pytest.param(ReferenceHeapEngine, id="py")]
 if CEngine is not None:
     ENGINES.append(pytest.param(CEngine, id="c"))
 
@@ -98,7 +112,7 @@ def drive_workload(engine_cls, seed: int, steps: int = 60):
 
 
 class TestAgainstReferenceHeap:
-    """Wheel engines vs the verbatim pre-wheel heap implementation."""
+    """Every engine vs the reference heap (for ``py``, a rerun of it)."""
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     @pytest.mark.parametrize("seed", [1, 7, 99, 20260808])
@@ -142,7 +156,6 @@ class TestAgainstReferenceHeap:
             return fired, engine.events_processed, engine.events_cancelled
 
         expected = run_with(ReferenceHeapEngine)
-        assert run_with(PyEngine) == expected
         if CEngine is not None:
             assert run_with(CEngine) == expected
 
@@ -150,17 +163,18 @@ class TestAgainstReferenceHeap:
 @pytest.mark.skipif(CEngine is None,
                     reason="compiled engine unavailable on this host")
 class TestCompiledMatchesPython:
-    """The C core vs the pure-Python wheel, head to head."""
+    """The C core vs the Python engine (the reference heap), head to
+    head."""
 
     @pytest.mark.parametrize("seed", [3, 12345, 777])
     def test_mixed_workload_identical(self, seed):
-        assert drive_workload(CEngine, seed) == drive_workload(PyEngine,
-                                                               seed)
+        assert drive_workload(CEngine, seed) == drive_workload(
+            ReferenceHeapEngine, seed)
 
-    def test_stats_dict_shape_identical(self):
-        py_stats = PyEngine().stats()
-        c_stats = CEngine().stats()
-        assert set(c_stats) == set(py_stats)
+    def test_stats_keys_read_by_src_exist_on_both_cores(self):
+        for engine_cls in (CEngine, ReferenceHeapEngine):
+            missing = set(SRC_STATS_KEYS) - set(engine_cls().stats())
+            assert not missing, f"{engine_cls.__name__} lacks {missing}"
 
     def test_compiled_engine_accepts_extra_attributes(self):
         """The C type carries a ``__dict__`` so hosts can hang
@@ -172,7 +186,7 @@ class TestCompiledMatchesPython:
 
 
 class TestWheelSpecificBehaviour:
-    """Invariants introduced by the wheel that the heap never had."""
+    """Invariants the wheel introduced, required of every core."""
 
     @pytest.mark.parametrize("engine_cls", ENGINES)
     def test_mass_cancel_is_o1_and_books_balance(self, engine_cls):
@@ -230,15 +244,59 @@ class TestWheelSpecificBehaviour:
         assert gc.isenabled()
 
 
+class _ReversedTies(ReferenceHeapEngine):
+    """A wrong engine: same-time events fire newest first."""
+
+    def schedule_at(self, time, callback, *args):
+        self._seq += 1
+        event = ReferenceEvent(time, self._seq, callback, args)
+        event.engine = self
+        heapq.heappush(self._heap, (time, -self._seq, event))
+        return event
+
+
+class TestAdoption:
+    """Import-time adoption must be able to say no: to a wrong core and
+    to an unknown knob value."""
+
+    @pytest.mark.parametrize("engine_cls,adopted", [
+        pytest.param(ReferenceHeapEngine, True, id="reference"),
+        pytest.param(_ReversedTies, False, id="reversed-ties"),
+    ] + ([pytest.param(CEngine, True, id="c")] if CEngine is not None
+         else []))
+    def test_gate_verdict(self, engine_cls, adopted):
+        assert _differential_gate(engine_cls) is adopted
+
+    @pytest.mark.parametrize("knob,value,allowed", [
+        ("REPRO_ENGINE", "cc", "auto, py"),
+        ("REPRO_FABRIC", "pakcet", "auto, packet"),
+    ])
+    def test_unknown_knob_value_fails_at_import(self, knob, value, allowed):
+        """A mistyped mode must not silently run the default."""
+        env = dict(os.environ, **{knob: value})
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.net.fabric"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0
+        assert (f"SimulationError: {knob}={value!r} is not one of "
+                f"{allowed}") in proc.stderr
+
+
 _SCENARIO_PROBE = r"""
 import hashlib, json, sys
 from repro.experiments.exp2_floods import FloodExperiment
 from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.summary import run_scenario_summary
+from repro.faults.chaos import overload_matrix
 from repro.runner.export import cells_to_jsonl
 
 label = sys.argv[1]
-summary = FloodExperiment(defense=label, attack_style="syn",
-                          base=ScenarioConfig(time_scale=0.02)).summary()
+base = ScenarioConfig(time_scale=0.02)
+if label.startswith("overload-"):
+    summary = run_scenario_summary(overload_matrix(base)[label].config)
+else:
+    summary = FloodExperiment(defense=label, attack_style="syn",
+                              base=base).summary()
 engine_keys = ("events_scheduled", "events_processed", "events_cancelled",
                "sim_seconds")
 jsonl = cells_to_jsonl([summary])
@@ -250,24 +308,6 @@ print(json.dumps({
     "jsonl_sha256": hashlib.sha256(jsonl.encode()).hexdigest(),
 }, sort_keys=True))
 """
-
-
-@pytest.mark.skipif(CEngine is None,
-                    reason="compiled engine unavailable on this host")
-@pytest.mark.parametrize("label", ["nodefense", "challenges-m8"])
-def test_full_scenario_counters_identical_across_cores(label):
-    """End-to-end: a complete fig7 flood cell produces byte-identical
-    counters, engine accounting, and connection outcomes whether the
-    simulator runs on the Python wheel or the compiled core."""
-    outputs = {}
-    for mode in ("py", "c"):
-        env = dict(os.environ, REPRO_ENGINE=mode)
-        proc = subprocess.run(
-            [sys.executable, "-c", _SCENARIO_PROBE, label],
-            capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outputs[mode] = json.loads(proc.stdout)
-    assert outputs["py"] == outputs["c"]
 
 
 _SUITE_PROBE = r"""
@@ -284,7 +324,10 @@ jsonl = cells_to_jsonl(list(suite.values()))
 print(stats.jobs, hashlib.sha256(jsonl.encode()).hexdigest())
 """
 
-_FIG7_LABELS = ("nodefense", "cookies", "challenges-m8", "challenges-m17")
+#: The fig7 cells plus one overload-ladder cell (admission control,
+#: budgeted syncache, cookie fallback, watchdog).
+_FIG7_LABELS = ("nodefense", "cookies", "challenges-m8", "challenges-m17",
+                "overload-oldest")
 
 
 def _run_probe(script, arg, env_extra):
@@ -299,10 +342,11 @@ def _run_probe(script, arg, env_extra):
 @pytest.mark.parametrize("label", _FIG7_LABELS)
 def test_fig7_cells_identical_across_fabric_and_engine(label):
     """The batched flood fast path must be invisible in the output:
-    every fig7 cell's counters, engine accounting, connection outcomes
-    and export JSONL are byte-identical between the per-packet pipeline
-    (``REPRO_FABRIC=packet``) and the batched one, on either engine."""
-    engines = ["py"] if CEngine is None else ["py", "c"]
+    every fig7 cell's (and the ladder cell's) counters, engine
+    accounting, connection outcomes and export JSONL are byte-identical
+    between the per-packet pipeline (``REPRO_FABRIC=packet``) and the
+    batched one, on either engine."""
+    engines = ["py"] if CEngine is None else ["py", "auto"]
     outputs = {}
     for engine in engines:
         for fabric in ("packet", "auto"):

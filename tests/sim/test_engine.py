@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import COMPACT_MIN_HEAP, Engine
+from repro.sim.engine import Engine
+from repro.sim.reference import COMPACT_MIN_HEAP
 
 
 class TestScheduling:
