@@ -35,7 +35,10 @@ The built-in suite covers the hot paths the optimization PRs will touch:
 * ``syncache_churn`` — SYN cache insert/complete/expire under bucket
   pressure;
 * ``packet_churn`` — handshake packet construction + size accounting;
-* ``hist_record`` — histogram record + quantile read throughput.
+* ``hist_record`` — histogram record + quantile read throughput;
+* ``sketch_update`` — per-source attribution sketches fed a spoofed
+  /32 SYN stream and a skewed /16 stream (Space-Saving eviction order
+  is pinned by the snapshot checksum).
 """
 
 from __future__ import annotations
@@ -481,6 +484,54 @@ def _bench_fabric_fold(iterations: int) -> Dict[str, int]:
         "droptailed": sum(lk.packets_dropped for lk in links),
         "bytes_sent": sum(lk.bytes_sent for lk in links),
     }
+
+
+@register("sketch_update",
+          "per-source attribution sketches: spoofed /32 SYNs and a "
+          "skewed /16 stream through on_syn/on_drop",
+          default_iterations=30_000)
+def _bench_sketch_update(iterations: int) -> Dict[str, int]:
+    import hashlib
+    import json
+
+    from repro.obs.sketch import SourceAttribution
+
+    # Spoofed /32 sources almost never repeat, so nearly every update
+    # recycles a slot (the hping3-style flood). The /16 stream draws
+    # Pareto-skewed prefixes: its heavy keys mostly hit tracked slots,
+    # so the eviction path also sees counts that grew since insertion.
+    spoofed = SourceAttribution(prefix_bits=32, seed=1)
+    skewed = SourceAttribution(prefix_bits=16, seed=2)
+    rng = random.Random(20261017)
+    getrandbits, pareto = rng.getrandbits, rng.paretovariate
+    causes = ("ListenOverflows", "SynCacheRejects", "AdmissionDrops")
+    for i in range(iterations):
+        src = getrandbits(32)
+        spoofed.on_syn(src)
+        if i & 1:
+            spoofed.on_drop(src, causes[i % 3])
+        src = ((0x0A00 + min(int(pareto(1.2)), 0xF000)) << 16) \
+            | (i & 0xFFFF)
+        skewed.on_syn(src)
+        if i % 3 == 0:
+            skewed.on_drop(src, causes[i & 1])
+    counters: Dict[str, int] = {"updates": 0}
+    digest = hashlib.sha256()
+    for name, attribution in (("spoofed", spoofed), ("skewed", skewed)):
+        for dimension, summaries in (
+                ("syns", [attribution.syns]),
+                ("drops", [attribution.drops]),
+                ("by_cause", list(attribution.drops_by_cause.values()))):
+            counters[f"{name}_{dimension}_evictions"] = sum(
+                summary.evictions for summary in summaries)
+            counters["updates"] += sum(summary.total
+                                       for summary in summaries)
+        digest.update(json.dumps(attribution.snapshot(),
+                                 sort_keys=True).encode())
+    # 48 bits: manifests compare counters as floats, exact below 2**53.
+    counters["snapshot_checksum"] = int.from_bytes(digest.digest()[:6],
+                                                   "big")
+    return counters
 
 
 def self_check(result: MicroResult) -> None:

@@ -23,16 +23,24 @@ alternatives with *fixed* memory:
   verification failures, all keyed by the source address masked to a
   configurable prefix.
 
-Eviction scans are O(capacity) per update in the worst case; capacity
+Space-Saving finds its eviction victim through a min-heap of
+``(count, key)`` pairs, one per tracked key, so an update costs
+amortized O(log capacity) rather than a scan of every slot: under a
+spoofed-source flood nearly every SYN is an untracked key that evicts.
+A hit on a tracked key only bumps its dict count and leaves the key's
+heap pair stale (its stored count below the current one); the eviction
+path refreshes stale pairs at the top of the heap before trusting it,
+and each refresh is paid for by the hits that made it stale. Capacity
 is the spec's ``top_k`` (16 by default), attribution is opt-in
-(``TelemetrySpec.attribution``), and the structures are plain picklable
-data — deliberately simple over asymptotically optimal.
+(``TelemetrySpec.attribution``), and the structures are plain
+picklable data.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from heapq import heappush, heapreplace
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -53,24 +61,43 @@ class SpaceSaving:
         self.total = 0
         self._counts: Dict[int, int] = {}
         self._errors: Dict[int, int] = {}
+        # Min-heap of (stored_count, key), exactly one pair per tracked
+        # key, with stored_count <= _counts[key]: a count only grows
+        # while its key is tracked, and hits do not touch the heap.
+        self._heap: List[Tuple[int, int]] = []
 
-    def update(self, key: int, n: int = 1) -> None:
+    def update(self, key: int) -> None:
+        """Count one occurrence of *key*."""
         counts = self._counts
-        self.total += n
+        self.total += 1
         if key in counts:
-            counts[key] += n
+            counts[key] += 1
             return
+        heap = self._heap
         if len(counts) < self.capacity:
-            counts[key] = n
+            counts[key] = 1
             self._errors[key] = 0
+            heappush(heap, (1, key))
             return
-        # Recycle the minimum-count slot; ties break on the smaller key
-        # so eviction order is deterministic across runs and platforms.
-        victim = min(counts, key=lambda k: (counts[k], k))
-        floor = counts.pop(victim)
-        self._errors.pop(victim)
-        counts[key] = floor + n
+        # Refresh stale pairs until the top holds its key's current
+        # count. Every other pair then compares >= the top, and its
+        # current count is >= its stored one, so the top is the exact
+        # (count, key) minimum: the smallest count, ties broken on the
+        # smaller key, so eviction order is deterministic across runs
+        # and platforms.
+        floor, victim = heap[0]
+        current = counts[victim]
+        while floor != current:
+            heapreplace(heap, (current, victim))
+            floor, victim = heap[0]
+            current = counts[victim]
+        # Recycle the victim's slot; the newcomer inherits its count as
+        # the overestimation error.
+        del counts[victim]
+        del self._errors[victim]
+        counts[key] = floor + 1
         self._errors[key] = floor
+        heapreplace(heap, (floor + 1, key))
         self.evictions += 1
 
     def __len__(self) -> int:
@@ -86,14 +113,6 @@ class SpaceSaving:
     def error(self, key: int) -> int:
         """Maximum overestimation of *key*'s reported count."""
         return self._errors.get(key, 0)
-
-    def heavy_keys(self, min_count: int,
-                   k: Optional[int] = None) -> List[int]:
-        """Keys whose reported count is at least *min_count*, largest
-        first (deterministic tie order) — how admission control picks
-        the prefixes worth a tier of their own."""
-        return [key for key, count, _ in self.top(k)
-                if count >= min_count]
 
     def top(self, k: Optional[int] = None
             ) -> List[Tuple[int, int, int]]:
@@ -148,10 +167,11 @@ class CountMinSketch:
         return ((self._a[row] * key + self._b[row]) & _MASK64) \
             >> self._shift
 
-    def update(self, key: int, n: int = 1) -> None:
-        self.total += n
+    def update(self, key: int) -> None:
+        """Count one occurrence of *key*."""
+        self.total += 1
         for row in range(self.depth):
-            self._rows[row][self._index(row, key)] += n
+            self._rows[row][self._index(row, key)] += 1
 
     def estimate(self, key: int) -> int:
         """Point estimate for *key*: never below the true count."""
@@ -254,19 +274,3 @@ class SourceAttribution:
             },
             "puzzle_failures": self.puzzle_failures.as_payload(),
         }
-
-    def render(self) -> str:
-        """Human-readable top-source table (the ``top`` view's detail)."""
-        lines = [f"top sources by SYNs (/{self.prefix_bits}):"]
-        for key, count, error in self.syns.top():
-            line = f"    {format_ip(key):<15s} {count:>10,d}"
-            if error:
-                line += f" (±{error:,d})"
-            lines.append(line)
-        if len(lines) == 1:
-            lines.append("    (no SYNs seen)")
-        if len(self.drops):
-            lines.append("top sources by drops:")
-            for key, count, error in self.drops.top():
-                lines.append(f"    {format_ip(key):<15s} {count:>10,d}")
-        return "\n".join(lines)

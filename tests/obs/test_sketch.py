@@ -1,13 +1,16 @@
 """Sketch tests: Space-Saving / Count-Min guarantees, bounded memory,
-and exact-vs-sketch agreement against a real flood scenario."""
+the heap eviction against the original full scan, and exact-vs-sketch
+agreement against real flood scenarios."""
 
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.obs import CountMinSketch, SpaceSaving, SourceAttribution
+from repro.obs.counters import DROP_CAUSES
 from repro.obs.timeseries import TelemetrySpec
 
 
@@ -16,6 +19,45 @@ def _zipf_stream(n_keys, n_updates, seed=7):
     rng = random.Random(seed)
     return [min(int(rng.paretovariate(1.2)), n_keys) + 0x0A000000
             for _ in range(n_updates)]
+
+
+class _ScanSpaceSaving(SpaceSaving):
+    """Reference oracle: the original O(capacity) eviction scan, kept
+    verbatim. It never touches the inherited ``_heap``."""
+
+    def update(self, key: int, n: int = 1) -> None:
+        counts = self._counts
+        self.total += n
+        if key in counts:
+            counts[key] += n
+            return
+        if len(counts) < self.capacity:
+            counts[key] = n
+            self._errors[key] = 0
+            return
+        # Recycle the minimum-count slot; ties break on the smaller key
+        # so eviction order is deterministic across runs and platforms.
+        victim = min(counts, key=lambda k: (counts[k], k))
+        floor = counts.pop(victim)
+        self._errors.pop(victim)
+        counts[key] = floor + n
+        self._errors[key] = floor
+        self.evictions += 1
+
+
+def _mixed_stream(seed, length, fresh_share, alpha):
+    """Never-repeating keys (spoofed sources) interleaved with
+    Pareto-skewed repeats over a small key range (heavy sources)."""
+    rng = random.Random(seed)
+    fresh = 1 << 24
+    stream = []
+    for _ in range(length):
+        if rng.random() < fresh_share:
+            fresh += 1
+            stream.append(fresh)
+        else:
+            stream.append(min(int(rng.paretovariate(alpha)), 64))
+    return stream
 
 
 class TestSpaceSaving:
@@ -73,6 +115,56 @@ class TestSpaceSaving:
     def test_rejects_zero_capacity(self):
         with pytest.raises(SimulationError):
             SpaceSaving(0)
+
+
+class TestHeapMatchesScan:
+    """The heap eviction picks exactly the victim the original scan
+    picked: same smallest count, same tie-break on the smaller key."""
+
+    @given(capacity=st.integers(1, 16),
+           seed=st.integers(0, 2**32 - 1),
+           length=st.integers(0, 400),
+           fresh_share=st.floats(0.0, 1.0),
+           alpha=st.floats(0.5, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_every_update_matches_reference(self, capacity, seed, length,
+                                            fresh_share, alpha):
+        sketch = SpaceSaving(capacity)
+        reference = _ScanSpaceSaving(capacity)
+        for key in _mixed_stream(seed, length, fresh_share, alpha):
+            sketch.update(key)
+            reference.update(key)
+            assert sketch._counts == reference._counts
+            assert sketch._errors == reference._errors
+            assert sketch.evictions == reference.evictions
+            assert sketch.total == reference.total
+            assert sketch.top() == reference.top()
+            assert len(sketch._heap) == len(sketch._counts)
+
+    def test_ladder_payload_matches_reference(self, monkeypatch):
+        """The attribution and admission-control snapshots of a whole
+        ladder cell are byte-identical under the reference scan."""
+        from repro.experiments.scenario import Scenario
+        from repro.experiments.summary import summarize
+
+        def payload():
+            result = Scenario(_ladder_config()).run()
+            body = json.dumps(summarize(result).as_payload(),
+                              sort_keys=True)
+            return result, body
+
+        _, heap_payload = payload()
+        monkeypatch.setattr("repro.obs.sketch.SpaceSaving",
+                            _ScanSpaceSaving)
+        monkeypatch.setattr("repro.tcp.overload.SpaceSaving",
+                            _ScanSpaceSaving)
+        result, scan_payload = payload()
+        assert type(result.attribution.syns) is _ScanSpaceSaving
+        admission = result.server_app.listener.admission
+        assert type(admission.sources) is _ScanSpaceSaving
+        assert result.attribution.syns.evictions > 0
+        assert admission.sources.evictions > 0
+        assert scan_payload == heap_payload
 
 
 class TestCountMinSketch:
@@ -145,10 +237,24 @@ class TestSourceAttribution:
         assert snapshot["syn_sketch"]["total"] == 1
 
 
+def _ladder_config():
+    """The ``overload-oldest`` ladder cell with attribution on: a
+    spoofed flood that evicts on nearly every SYN, and admission
+    control feeding its own Space-Saving summary."""
+    from repro.experiments.scenario import ScenarioConfig
+    from repro.faults.chaos import overload_matrix
+
+    base = ScenarioConfig(seed=1, time_scale=0.01,
+                          telemetry=TelemetrySpec(attribution=True))
+    return overload_matrix(base)["overload-oldest"].config
+
+
 class TestScenarioAgreement:
     """Exact/sketch agreement on a small config: every distinct source
     fits in the top-K, so the summary must be *exact* and must agree
-    with the listener's own aggregate counters."""
+    with the listener's own aggregate counters. Sketch totals are exact
+    on any config, so drop totals are also checked on a ladder cell
+    that evicts on nearly every SYN."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -159,6 +265,12 @@ class TestScenarioAgreement:
             attack_style="connect", attack_enabled=True,
             telemetry=TelemetrySpec(attribution=True, top_k=16))
         return Scenario(config).run()
+
+    @pytest.fixture(scope="class")
+    def ladder_result(self):
+        from repro.experiments.scenario import Scenario
+
+        return Scenario(_ladder_config()).run()
 
     def test_attribution_total_matches_syn_counter(self, result):
         attribution = result.attribution
@@ -179,10 +291,29 @@ class TestScenarioAgreement:
             estimate = attribution.estimate_syns(key)
             assert count <= estimate <= count + bound
 
-    def test_drop_attribution_never_exceeds_drop_counters(self, result):
-        counters = result.obs.counters.scope("server")
-        for cause, sketch in result.attribution.drops_by_cause.items():
-            assert sketch.total <= counters.get(cause)
+    @pytest.mark.parametrize("fixture, covered", [
+        ("result", "DeceptionAcksIgnored"),
+        ("ladder_result", "AdmissionDrops"),
+    ], ids=["connect", "ladder"])
+    def test_drop_attribution_equals_drop_counters(self, fixture, covered,
+                                                   request):
+        """Every drop the MIB counts reaches the per-cause sketch, so a
+        drop site that forgets ``on_drop`` fails here. The one
+        exception is ``SynCacheEvictions`` (see ``SourceAttribution``)."""
+        run = request.getfixturevalue(fixture)
+        counters = run.obs.counters.scope("server")
+        by_cause = run.attribution.drops_by_cause
+        attributed = 0
+        for cause in DROP_CAUSES:
+            if cause == "SynCacheEvictions":
+                assert cause not in by_cause
+                continue
+            sketch = by_cause.get(cause)
+            total = sketch.total if sketch is not None else 0
+            assert total == counters.get(cause), cause
+            attributed += total
+        assert run.attribution.drops.total == attributed
+        assert counters.get(covered) > 0
 
     def test_same_seed_snapshot_is_byte_identical(self, result):
         from repro.experiments.scenario import Scenario, ScenarioConfig
