@@ -34,7 +34,11 @@
 #      sim-time sampler attached must produce byte-identical series
 #      snapshots, a tiny `sweep --live` must leave a parseable status
 #      file in benchmarks/output/ (the CI artifact), and `top --once`
-#      must render it.
+#      must render it;
+#  10. the paper claims: `validate` re-runs the 14 machine-checked claims
+#      of the reproduction gate at reduced scale and exits non-zero when
+#      any claim fails, so a refactor that flips a paper outcome fails
+#      here.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -296,5 +300,8 @@ grep -q "cells 2/2 done" <<<"$top_out" || {
     echo "telemetry smoke: top --once shows an unfinished sweep" >&2
     exit 1
 }
+
+echo "== paper claims =="
+python -m repro.cli validate
 
 echo "== all checks passed =="

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from scipy.optimize import brentq
-
 from repro.core.mm1 import expected_service_time
 from repro.core.utility import client_utility
 from repro.errors import GameError
@@ -167,6 +165,10 @@ class ClientGame:
                 break
         else:  # pragma: no cover - numerically unreachable
             raise GameError("could not bracket the equilibrium root")
+        # Imported on first solve: the simulator imports this module
+        # through repro.core but never solves the game.
+        from scipy.optimize import brentq
+
         return float(brentq(l_tilde, n, hi, xtol=1e-12, rtol=1e-14))
 
     def solve(self, difficulty: float,

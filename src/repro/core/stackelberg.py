@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from scipy.optimize import brentq
-
 from repro.core.equilibrium import ClientGame, NashSolution
 from repro.errors import GameError
 from repro.puzzles.estimator import provider_net_work
@@ -96,6 +94,9 @@ class StackelbergGame:
                 break
         else:  # pragma: no cover - numerically unreachable
             raise GameError("could not bracket the provider optimum")
+        # Imported on first solve, like ClientGame._solve_y_bar's.
+        from scipy.optimize import brentq
+
         y_star = float(brentq(self._g_prime, lo, hi, xtol=1e-12, rtol=1e-14))
         difficulty = w_bar / y_star - 1.0 / (mu + n - y_star) ** 2
         total_rate = y_star - n

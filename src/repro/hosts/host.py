@@ -67,8 +67,6 @@ class CPUResource:
         """Account for synchronous work (e.g. server-side verification)."""
         if hashes < 0:
             raise SimulationError(f"hashes must be >= 0, got {hashes!r}")
-        # _consume_seconds inlined: this runs once per issued challenge
-        # and per verified solution, so the extra frame is measurable.
         duration = hashes / self.hash_rate
         start = self.busy_until
         now = self.engine.now
@@ -87,12 +85,6 @@ class CPUResource:
             start = now
         self.busy_until = start + seconds
         self._credited += seconds
-
-    def _consume_seconds(self, duration: float) -> None:
-        now = self.engine.now
-        start = max(now, self.busy_until)
-        self.busy_until = start + duration
-        self._credited += duration
 
     def busy_seconds(self, at: Optional[float] = None) -> float:
         """Cumulative busy seconds up to *at* (default: now)."""

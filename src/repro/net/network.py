@@ -106,12 +106,6 @@ class Network:
         self._rx_taps.setdefault(throughput.address, []).append(
             throughput.on_rx)
 
-    def _emit(self, packet: Packet, event: str) -> None:
-        if self._taps:
-            now = self.engine.now
-            for tap in self._taps:
-                tap(now, packet, event)
-
     # ------------------------------------------------------------------
     # Path caches
     # ------------------------------------------------------------------
@@ -149,8 +143,8 @@ class Network:
         packet.sent_at = now
         if self.packet_fault is not None:
             self.packet_fault(now, packet)
-        # Tap loops inlined: with no taps installed (most sweeps) the hot
-        # path is one truthiness check; with taps it skips the _emit frame.
+        # With no taps installed (most sweeps) the tap loops cost one
+        # truthiness check.
         taps = self._taps
         if taps:
             for tap in taps:

@@ -3,8 +3,10 @@
 :func:`deter_topology` reproduces the paper's Figure 16 setup: a backbone of
 three routers fully connected with 1 Gbps links; the server attached at
 1 Gbps; every client and attacker host attached at 100 Mbps. Paths are
-static shortest paths (hop count), computed with :mod:`networkx` and cached
-per (attachment, attachment) pair.
+static shortest paths (hop count), found by breadth-first search and cached
+per (host, host) pair. Every topology built here has a unique shortest path
+between any two hosts; where several would tie, the search keeps the first
+it reaches in connection order.
 
 Each undirected cable is a pair of independent :class:`~repro.net.link.Link`
 objects (full duplex).
@@ -13,9 +15,8 @@ objects (full duplex).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Dict, List, Tuple
-
-import networkx as nx
 
 from repro.errors import NetworkError
 from repro.net.link import Link
@@ -33,7 +34,8 @@ class Topology:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._kind: Dict[str, str] = {}  # node -> "router" | "host"
+        self._adjacent: Dict[str, List[str]] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._attachment: Dict[str, str] = {}  # host node -> router node
         self._path_cache: Dict[Tuple[str, str], List[Link]] = {}
@@ -42,16 +44,18 @@ class Topology:
     # Construction
     # ------------------------------------------------------------------
     def add_router(self, name: str) -> None:
-        self._graph.add_node(name, kind="router")
+        self._kind[name] = "router"
+        self._adjacent.setdefault(name, [])
 
     def connect(self, a: str, b: str, rate_bps: float,
                 delay: float = 0.0005,
                 buffer_bytes: int = 256 * 1024) -> None:
         """Join two nodes with a full-duplex link pair."""
         for node in (a, b):
-            if node not in self._graph:
+            if node not in self._kind:
                 raise NetworkError(f"unknown node {node!r}")
-        self._graph.add_edge(a, b)
+        self._adjacent[a].append(b)
+        self._adjacent[b].append(a)
         self._links[(a, b)] = Link(rate_bps=rate_bps, delay=delay,
                                    buffer_bytes=buffer_bytes,
                                    name=f"{a}->{b}")
@@ -64,13 +68,13 @@ class Topology:
                     delay: float = 0.0005,
                     buffer_bytes: int = 256 * 1024) -> None:
         """Attach a host to a router through its own access link pair."""
-        if router not in self._graph or \
-                self._graph.nodes[router].get("kind") != "router":
+        if self._kind.get(router) != "router":
             raise NetworkError(f"unknown router {router!r}")
-        if host_name in self._graph:
+        if host_name in self._kind:
             raise NetworkError(f"duplicate host {host_name!r}")
-        self._graph.add_node(host_name, kind="host")
-        self._graph.add_edge(host_name, router)
+        self._kind[host_name] = "host"
+        self._adjacent[host_name] = [router]
+        self._adjacent[router].append(host_name)
         self._links[(host_name, router)] = Link(
             rate_bps=rate_bps, delay=delay, buffer_bytes=buffer_bytes,
             name=f"{host_name}->{router}")
@@ -101,11 +105,23 @@ class Topology:
         for host in key:
             if host not in self._attachment:
                 raise NetworkError(f"host {host!r} is not attached")
-        try:
-            nodes = nx.shortest_path(self._graph, src_host, dst_host)
-        except nx.NetworkXNoPath:
+        parent = {src_host: src_host}
+        frontier = deque([src_host])
+        while frontier:
+            node = frontier.popleft()
+            if node == dst_host:
+                break
+            for neighbour in self._adjacent[node]:
+                if neighbour not in parent:
+                    parent[neighbour] = node
+                    frontier.append(neighbour)
+        else:
             raise NetworkError(
                 f"no path between {src_host!r} and {dst_host!r}")
+        nodes = [dst_host]
+        while nodes[-1] != src_host:
+            nodes.append(parent[nodes[-1]])
+        nodes.reverse()
         links = [self._links[(a, b)] for a, b in zip(nodes, nodes[1:])]
         self._path_cache[key] = links
         return links

@@ -1,6 +1,8 @@
 """Topology and network-fabric tests: paths, delivery, spoofing blackholes,
 captures."""
 
+import itertools
+
 import pytest
 
 from repro.errors import NetworkError
@@ -56,6 +58,33 @@ class TestTopology:
         up = topo.link("client0", "r2")
         down = topo.link("r2", "client0")
         assert up is not down
+
+    @pytest.mark.parametrize("n_clients,n_attackers",
+                             [(1, 0), (2, 1), (4, 3)])
+    def test_every_path_follows_the_attachments(self, n_clients,
+                                                n_attackers):
+        """Access uplink, the direct backbone link when the routers
+        differ, then the access downlink — for every ordered host pair."""
+        topo = deter_topology(n_clients, n_attackers)
+        for src, dst in itertools.permutations(topo.host_names(), 2):
+            src_router = topo._attachment[src]
+            dst_router = topo._attachment[dst]
+            expected = [topo.link(src, src_router)]
+            if src_router != dst_router:
+                expected.append(topo.link(src_router, dst_router))
+            expected.append(topo.link(dst_router, dst))
+            route = topo.path_links(src, dst)
+            assert [id(link) for link in route] == \
+                [id(link) for link in expected], (src, dst)
+
+    def test_disconnected_routers_have_no_path(self):
+        topo = Topology()
+        topo.add_router("r1")
+        topo.add_router("r2")
+        topo.attach_host("a", "r1", rate_bps=GBPS)
+        topo.attach_host("b", "r2", rate_bps=GBPS)
+        with pytest.raises(NetworkError, match="no path"):
+            topo.path_links("a", "b")
 
 
 class _StubHost:

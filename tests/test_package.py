@@ -36,6 +36,40 @@ class TestPublicApi:
             assert issubclass(getattr(errors, name), errors.ReproError)
 
 
+_IMPORT_FOOTPRINT_PROBE = r"""
+import sys
+
+import repro
+import repro.experiments
+import repro.faults.chaos
+from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.summary import run_scenario_summary
+
+run_scenario_summary(ScenarioConfig(time_scale=0.01, attack_style="connect"))
+loaded = sorted(name for name in ("scipy", "networkx") if name in sys.modules)
+assert not loaded, f"simulator import path loaded {loaded}"
+
+game = repro.ClientGame.homogeneous(15, 140630.0, 1100.0)
+assert game.solve(1e5).feasible
+assert repro.StackelbergGame(game).solve_relaxed().total_rate > 0
+assert "scipy.optimize" in sys.modules
+print("ok")
+"""
+
+
+class TestImportFootprint:
+    def test_simulator_leaves_scipy_and_networkx_unloaded(self):
+        """Importing the package and running a scenario must not load
+        the game solvers' scipy or any graph library; the solvers still
+        load scipy when they first run. A fresh interpreter, because this
+        test process has long since imported both."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_FOOTPRINT_PROBE],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
+
+
 class TestExamples:
     def test_all_examples_compile(self):
         examples = sorted((ROOT / "examples").glob("*.py"))
