@@ -46,21 +46,20 @@ def record_manifest(name: str, result=None, extra=None,
                     runner_stats=None) -> pathlib.Path:
     """Persist a run manifest as ``benchmarks/output/BENCH_<name>.json``.
 
-    Pass a :class:`~repro.experiments.scenario.ScenarioResult` or a
-    :class:`~repro.experiments.summary.ScenarioSummary` to capture its
-    counters, engine statistics and (if profiling was on) callback
-    profile; pass a :class:`~repro.runner.RunnerStats` as *runner_stats*
-    to persist the sweep's perf trajectory (per-cell wall time,
-    events/sec, sim_wall_ratio, cache hits); *extra* merges additional
-    keys in.
+    Pass a :class:`~repro.experiments.summary.ScenarioSummary` as
+    *result* to capture its counters, engine statistics and (if profiling
+    was on) callback profile; pass a :class:`~repro.runner.RunnerStats`
+    as *runner_stats* to persist the sweep's perf trajectory (per-cell
+    wall time, events/sec, sim_wall_ratio, cache hits); *extra* merges
+    additional keys in.
     """
     from repro.obs.manifest import (
         runner_payload,
-        scenario_payload,
+        summary_payload,
         write_manifest,
     )
 
-    payload = scenario_payload(result) if result is not None else {}
+    payload = summary_payload(result) if result is not None else {}
     if runner_stats is not None:
         payload["runner"] = runner_payload(runner_stats)
     if extra:

@@ -38,7 +38,11 @@
 #  10. the paper claims: `validate` re-runs the 14 machine-checked claims
 #      of the reproduction gate at reduced scale and exits non-zero when
 #      any claim fails, so a refactor that flips a paper outcome fails
-#      here.
+#      here;
+#  11. the fast examples: quickstart, iot_botnet, nash_tuning,
+#      lossy_links and capture_traffic (its pcap goes to the scratch
+#      directory) must run to completion; quickstart and iot_botnet read
+#      the run-level queries off live scenario results.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -303,5 +307,19 @@ grep -q "cells 2/2 done" <<<"$top_out" || {
 
 echo "== paper claims =="
 python -m repro.cli validate
+
+echo "== examples =="
+for example in quickstart iot_botnet nash_tuning lossy_links; do
+    python "examples/$example.py" > /dev/null || {
+        echo "examples: $example.py failed" >&2
+        exit 1
+    }
+done
+python examples/capture_traffic.py "$smokedir/handshake.pcap" > /dev/null
+[ -s "$smokedir/handshake.pcap" ] || {
+    echo "examples: capture_traffic.py wrote no pcap" >&2
+    exit 1
+}
+echo "examples: 5 ran"
 
 echo "== all checks passed =="

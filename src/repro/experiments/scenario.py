@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.errors import ExperimentError
-from repro.hosts.attacker import AttackerConfig
+from repro.hosts.attacker import AttackerConfig, AttackStats
 from repro.hosts.botnet import Botnet, build_botnet
 from repro.hosts.client import BenignClient, ClientConfig
 from repro.hosts.cpu import CPU_CATALOG, SERVER_CPU, CPUProfile
@@ -157,49 +157,17 @@ class ScenarioConfig:
                 f"unknown attack_style {self.attack_style!r}")
 
 
-@dataclass
-class ScenarioResult:
-    """Everything measured during one scenario run."""
+class RunMeasures:
+    """The run-level measures the paper judges each defense by.
 
-    config: ScenarioConfig
-    engine: Engine
-    tracker: ConnectionTracker
-    server_throughput: HostThroughput
-    client_throughput: HostThroughput   # the paper's "a client" (client0)
-    cpu: CPUUtilizationSampler
-    queues: QueueSampler
-    server_app: AppServer
-    botnet: Optional[Botnet]
-    clients: List[BenignClient]
-    hosts: Dict[str, Host]
-    #: Server-side establishment events, classified "client"/"attacker"
-    #: by remote address — the ground truth behind Figure 11.
-    server_established: Dict[str, BinnedSeries] = field(
-        default_factory=dict)
-    #: The engine's observability hub (SNMP counters + handshake tracer).
-    obs: Optional[Observability] = None
-    #: Event-loop profiler, present when ``config.profile`` was set.
-    profiler: Optional[EngineProfiler] = None
-    #: Streaming-telemetry sampler, present when ``config.telemetry``
-    #: was set.
-    sampler: Optional[SimSampler] = None
-    #: Bounded-memory per-source attribution sketches, present when
-    #: ``config.telemetry`` asked for them.
-    attribution: Optional[SourceAttribution] = None
-    #: The fault injector, present when the scenario ran with a
-    #: non-empty :class:`~repro.faults.schedule.FaultSchedule`.
-    fault_injector: Optional[object] = None
-    #: The runtime invariant checker, when one was attached.
-    invariants: Optional[object] = None
-    #: The overload watchdog, present when ``config.overload`` was set.
-    watchdog: Optional[OverloadWatchdog] = None
-
-    # ------------------------------------------------------------------
-    # Convenience summaries used across experiments
-    # ------------------------------------------------------------------
-    @property
-    def listener_stats(self):
-        return self.server_app.listener.stats
+    Shared by the live :class:`ScenarioResult` and its picklable
+    :class:`~repro.experiments.summary.ScenarioSummary`. Both provide
+    ``config``, ``client_throughput``, ``server_throughput``,
+    ``server_established``, ``tracker`` (a
+    :class:`~repro.metrics.connections.ConnectionLog`) and
+    ``attack_stats`` (the botnet's aggregate
+    :class:`~repro.hosts.attacker.AttackStats`, or ``None``).
+    """
 
     def attack_window(self) -> tuple:
         return (self.config.attack_start, self.config.attack_end)
@@ -258,26 +226,76 @@ class ScenarioResult:
     def attacker_measured_rate(self) -> float:
         """Mean attacker SYN/attempt rate actually achieved (Figures 13a,
         14a: CPU-bound bots fall below their configured rate)."""
-        if self.botnet is None:
+        if self.attack_stats is None:
             return 0.0
         start, end = self.attack_window()
-        return self.botnet.aggregate_stats().syns_sent / max(
-            end - start, 1e-9)
+        return self.attack_stats.syns_sent / max(end - start, 1e-9)
 
     def client_completion_percent(self) -> float:
+        """% of client attempts opened during the attack that completed
+        (NaN when there were none)."""
         start, end = self.attack_window()
-        counts = {"attempts": 0, "completed": 0}
+        attempts = completed = 0
         for record in self.tracker.records:
             if record.label != "client":
                 continue
             if not start <= record.t_open < end:
                 continue
-            counts["attempts"] += 1
+            attempts += 1
             if record.t_completed is not None:
-                counts["completed"] += 1
-        if counts["attempts"] == 0:
+                completed += 1
+        if attempts == 0:
             return float("nan")
-        return 100.0 * counts["completed"] / counts["attempts"]
+        return 100.0 * completed / attempts
+
+
+@dataclass
+class ScenarioResult(RunMeasures):
+    """Everything measured during one scenario run."""
+
+    config: ScenarioConfig
+    engine: Engine
+    tracker: ConnectionTracker
+    server_throughput: HostThroughput
+    client_throughput: HostThroughput   # the paper's "a client" (client0)
+    cpu: CPUUtilizationSampler
+    queues: QueueSampler
+    server_app: AppServer
+    botnet: Optional[Botnet]
+    clients: List[BenignClient]
+    hosts: Dict[str, Host]
+    #: Server-side establishment events, classified "client"/"attacker"
+    #: by remote address — the ground truth behind Figure 11.
+    server_established: Dict[str, BinnedSeries] = field(
+        default_factory=dict)
+    #: The engine's observability hub (SNMP counters + handshake tracer).
+    obs: Optional[Observability] = None
+    #: Event-loop profiler, present when ``config.profile`` was set.
+    profiler: Optional[EngineProfiler] = None
+    #: Streaming-telemetry sampler, present when ``config.telemetry``
+    #: was set.
+    sampler: Optional[SimSampler] = None
+    #: Bounded-memory per-source attribution sketches, present when
+    #: ``config.telemetry`` asked for them.
+    attribution: Optional[SourceAttribution] = None
+    #: The fault injector, present when the scenario ran with a
+    #: non-empty :class:`~repro.faults.schedule.FaultSchedule`.
+    fault_injector: Optional[object] = None
+    #: The runtime invariant checker, when one was attached.
+    invariants: Optional[object] = None
+    #: The overload watchdog, present when ``config.overload`` was set.
+    watchdog: Optional[OverloadWatchdog] = None
+
+    # ------------------------------------------------------------------
+    @property
+    def listener_stats(self):
+        return self.server_app.listener.stats
+
+    @property
+    def attack_stats(self) -> Optional[AttackStats]:
+        if self.botnet is None:
+            return None
+        return self.botnet.aggregate_stats()
 
 
 class Scenario:

@@ -1,11 +1,19 @@
-"""Per-connection lifecycle tracking.
+"""Per-connection lifecycles and the queries over them.
 
 Backs the connection-time CDFs (Figure 6), established-connection rates
 (Figures 11, 13, 14), and completion percentages (Figure 15).
+
+:class:`ConnectionLog` is the plain data — the records plus per-label
+binned series of attempts, establishments, completions and failures —
+and owns every query. :class:`ConnectionTracker` is the same log with
+the engine attached and the lifecycle hooks host models call during a
+run; a finished run's summary keeps only the log, so a live tracker and
+its summary answer every query through the same code.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,64 +55,31 @@ class ConnectionRecord:
         return "pending"
 
 
-class ConnectionTracker:
-    """Aggregates connection lifecycles per class label.
+@dataclass(eq=False)
+class ConnectionLog:
+    """Connection lifecycles per class label, as plain (picklable) data.
 
     Labels are free-form — the experiments use ``"client"`` and
     ``"attacker"`` so metrics can be split the way the paper splits them.
+    The per-label series are keyed by the labels seen so far; a query
+    for an unseen label answers from an empty series.
     """
 
-    def __init__(self, engine: Engine, bin_width: float = 1.0) -> None:
-        self.engine = engine
-        self.bin_width = bin_width
-        self._hist = hub_for(engine).hist
-        self.records: List[ConnectionRecord] = []
-        self._attempt_series: Dict[str, BinnedSeries] = {}
-        self._established_series: Dict[str, BinnedSeries] = {}
-        self._completed_series: Dict[str, BinnedSeries] = {}
-        self._failed_series: Dict[str, BinnedSeries] = {}
+    bin_width: float = 1.0
+    records: List[ConnectionRecord] = field(default_factory=list)
+    attempt_series: Dict[str, BinnedSeries] = field(default_factory=dict)
+    established_series: Dict[str, BinnedSeries] = field(
+        default_factory=dict)
+    completed_series: Dict[str, BinnedSeries] = field(default_factory=dict)
+    failed_series: Dict[str, BinnedSeries] = field(default_factory=dict)
 
     def _series(self, table: Dict[str, BinnedSeries],
                 label: str) -> BinnedSeries:
         series = table.get(label)
         if series is None:
             series = BinnedSeries(self.bin_width)
-            table[label] = series
         return series
 
-    # ------------------------------------------------------------------
-    # Lifecycle hooks (called by host models)
-    # ------------------------------------------------------------------
-    def open(self, label: str) -> ConnectionRecord:
-        record = ConnectionRecord(label, self.engine.now)
-        self.records.append(record)
-        self._series(self._attempt_series, label).add(record.t_open)
-        return record
-
-    def established(self, record: ConnectionRecord,
-                    challenged: bool = False) -> None:
-        record.t_established = self.engine.now
-        record.challenged = challenged
-        self._series(self._established_series, record.label).add(
-            record.t_established)
-        self._hist.record(f"handshake_latency.{record.label}",
-                          record.t_established - record.t_open)
-
-    def completed(self, record: ConnectionRecord) -> None:
-        record.t_completed = self.engine.now
-        self._series(self._completed_series, record.label).add(
-            record.t_completed)
-
-    def failed(self, record: ConnectionRecord, reason: str) -> None:
-        if record.t_failed is not None:
-            return
-        record.t_failed = self.engine.now
-        record.reason = reason
-        self._series(self._failed_series, record.label).add(record.t_failed)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def connect_times(self, label: str) -> np.ndarray:
         """Handshake latencies (seconds) for established connections."""
         return np.asarray([
@@ -115,12 +90,12 @@ class ConnectionTracker:
     def established_rate(self, label: str,
                          until: float) -> Tuple[np.ndarray, np.ndarray]:
         """Connections/second entering ESTABLISHED, per bin (Figure 11)."""
-        return self._series(self._established_series, label).rate_series(
+        return self._series(self.established_series, label).rate_series(
             until)
 
     def attempt_rate(self, label: str,
                      until: float) -> Tuple[np.ndarray, np.ndarray]:
-        return self._series(self._attempt_series, label).rate_series(until)
+        return self._series(self.attempt_series, label).rate_series(until)
 
     def completion_percent_series(self, label: str, until: float
                                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,3 +143,53 @@ class ConnectionTracker:
             1 for r in self.records
             if r.label == label and r.t_established is not None
             and start <= r.t_established < end)
+
+    def labels(self) -> List[str]:
+        """Every label with at least one record, sorted."""
+        return sorted({r.label for r in self.records})
+
+
+class ConnectionTracker(ConnectionLog):
+    """A :class:`ConnectionLog` filled in by host models during a run."""
+
+    def __init__(self, engine: Engine, bin_width: float = 1.0) -> None:
+        super().__init__(bin_width)
+        self.engine = engine
+        self._hist = hub_for(engine).hist
+
+    def _add(self, table: Dict[str, BinnedSeries], label: str,
+             t: float) -> None:
+        series = table.get(label)
+        if series is None:
+            series = BinnedSeries(self.bin_width)
+            table[label] = series
+        series.add(t)
+
+    # ------------------------------------------------------------------
+    # Lifecycle hooks (called by host models)
+    # ------------------------------------------------------------------
+    def open(self, label: str) -> ConnectionRecord:
+        record = ConnectionRecord(label, self.engine.now)
+        self.records.append(record)
+        self._add(self.attempt_series, label, record.t_open)
+        return record
+
+    def established(self, record: ConnectionRecord,
+                    challenged: bool = False) -> None:
+        record.t_established = self.engine.now
+        record.challenged = challenged
+        self._add(self.established_series, record.label,
+                  record.t_established)
+        self._hist.record(f"handshake_latency.{record.label}",
+                          record.t_established - record.t_open)
+
+    def completed(self, record: ConnectionRecord) -> None:
+        record.t_completed = self.engine.now
+        self._add(self.completed_series, record.label, record.t_completed)
+
+    def failed(self, record: ConnectionRecord, reason: str) -> None:
+        if record.t_failed is not None:
+            return
+        record.t_failed = self.engine.now
+        record.reason = reason
+        self._add(self.failed_series, record.label, record.t_failed)

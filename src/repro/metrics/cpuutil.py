@@ -1,12 +1,16 @@
 """CPU-utilisation sampling (Figure 9).
 
-Periodically reads each host CPU's exact cumulative busy time (see
-:class:`repro.hosts.host.CPUResource`) and differentiates it into per-bin
-utilisation percentages.
+:class:`CPUUtilization` holds per-host utilisation samples (%) and the
+queries over them, as plain data. :class:`CPUUtilizationSampler` fills
+one in during a run: it periodically reads each host CPU's exact
+cumulative busy time (see :class:`repro.hosts.host.CPUResource`) and
+differentiates it into per-bin utilisation percentages. A run's summary
+keeps only the samples, so both answer through the same queries.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -16,7 +20,23 @@ from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess
 
 
-class CPUUtilizationSampler:
+@dataclass(eq=False)
+class CPUUtilization:
+    """Busy-fraction (%) samples per host name."""
+
+    series: Dict[str, GaugeSeries] = field(default_factory=dict)
+
+    def utilization(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        return self.series[name].arrays()
+
+    def mean_in(self, name: str, start: float, end: float) -> float:
+        return self.series[name].mean_in(start, end)
+
+    def max_in(self, name: str, start: float, end: float) -> float:
+        return self.series[name].max_in(start, end)
+
+
+class CPUUtilizationSampler(CPUUtilization):
     """Samples busy-fraction (%) of a set of hosts every *interval*."""
 
     def __init__(self, engine: Engine, hosts: Sequence,
@@ -24,9 +44,7 @@ class CPUUtilizationSampler:
         self.engine = engine
         self.hosts = list(hosts)
         self.interval = interval
-        self.series: Dict[str, GaugeSeries] = {
-            host.name: GaugeSeries() for host in self.hosts
-        }
+        super().__init__({host.name: GaugeSeries() for host in self.hosts})
         self._last_busy: Dict[str, float] = {
             host.name: 0.0 for host in self.hosts
         }
@@ -47,12 +65,3 @@ class CPUUtilizationSampler:
             self._last_busy[host.name] = busy
             utilization = 100.0 * delta / self.interval
             self.series[host.name].sample(now, min(100.0, utilization))
-
-    def utilization(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        return self.series[name].arrays()
-
-    def mean_in(self, name: str, start: float, end: float) -> float:
-        return self.series[name].mean_in(start, end)
-
-    def max_in(self, name: str, start: float, end: float) -> float:
-        return self.series[name].max_in(start, end)

@@ -1,8 +1,7 @@
-"""Time-series primitives: binned accumulators, gauges, bounded rings."""
+"""Time-series primitives: binned accumulators and gauges."""
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -56,59 +55,6 @@ class BinnedSeries:
         lo = int((start - self.t0) // self.bin_width)
         hi = int(np.ceil((end - self.t0) / self.bin_width))
         return sum(v for i, v in self._bins.items() if lo <= i < hi)
-
-
-class RingSeries:
-    """A bounded ring of ``(time, value)`` samples.
-
-    Appends past the capacity evict the oldest sample and bump
-    ``dropped``, so memory stays fixed no matter how long the run is —
-    the storage discipline behind the streaming telemetry series
-    (:mod:`repro.obs.timeseries`). Plain data: picklable, no engine
-    reference.
-    """
-
-    __slots__ = ("capacity", "dropped", "_times", "_values")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise SimulationError(
-                f"ring capacity must be >= 1, got {capacity!r}")
-        self.capacity = int(capacity)
-        self.dropped = 0
-        self._times: deque = deque(maxlen=self.capacity)
-        self._values: deque = deque(maxlen=self.capacity)
-
-    def append(self, t: float, value: float) -> None:
-        if len(self._times) == self.capacity:
-            self.dropped += 1
-        self._times.append(t)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def samples(self) -> List[Tuple[float, float]]:
-        """Oldest-to-newest list of retained ``(time, value)`` pairs."""
-        return list(zip(self._times, self._values))
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self._times), np.asarray(self._values)
-
-    def replace(self, samples) -> None:
-        """Reload the ring from an iterable of ``(time, value)`` pairs
-        (newest-past-capacity win, counting the overflow as dropped)."""
-        self._times.clear()
-        self._values.clear()
-        for t, value in samples:
-            self.append(t, value)
-
-    # Pickle support for __slots__ (deques themselves pickle fine).
-    def __getstate__(self):
-        return (self.capacity, self.dropped, self._times, self._values)
-
-    def __setstate__(self, state):
-        self.capacity, self.dropped, self._times, self._values = state
 
 
 class GaugeSeries:

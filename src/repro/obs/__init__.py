@@ -49,6 +49,14 @@ from repro.obs.perf import (
 from repro.obs.profile import EngineProfiler, callback_kind
 from repro.obs.sketch import CountMinSketch, SourceAttribution, SpaceSaving
 from repro.obs.spans import HandshakeSpan, SpanPhase, build_spans
+from repro.obs.timeseries import (
+    SeriesRegistry,
+    SimSampler,
+    TelemetrySpec,
+    TimeSeries,
+    chrome_counter_events,
+    series_payload,
+)
 from repro.obs.trace import DEFAULT_CAPACITY, HandshakeTracer, TraceEvent
 
 __all__ = [
@@ -114,15 +122,3 @@ def hub_for(engine) -> Observability:
         engine.obs = hub
     return hub
 
-
-# Imported last: repro.obs.timeseries pulls in repro.metrics, whose
-# modules import ``hub_for`` from this package — the name must already
-# be bound here when that import re-enters mid-initialisation.
-from repro.obs.timeseries import (  # noqa: E402
-    SeriesRegistry,
-    SimSampler,
-    TelemetrySpec,
-    TimeSeries,
-    chrome_counter_events,
-    series_payload,
-)

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 
 from repro.obs.counters import drop_attribution, established_total
 from repro.obs.profile import EngineProfiler
+from repro.obs.timeseries import series_payload
 
 
 def environment_info() -> Dict[str, str]:
@@ -33,6 +34,22 @@ def engine_payload(engine) -> Dict[str, object]:
     return dict(engine.stats())
 
 
+def _handshake_attribution(hosts) -> Dict[str, object]:
+    """Established total and drops by cause per host, from ``(host name,
+    counters)`` pairs; hosts with neither are left out."""
+    attribution: Dict[str, object] = {}
+    for name, counters in hosts:
+        drops = drop_attribution(counters)
+        established = established_total(counters)
+        if drops or established:
+            attribution[name] = {
+                "established": established,
+                "drops": drops,
+                "drops_total": sum(drops.values()),
+            }
+    return attribution
+
+
 def hub_payload(hub, engine=None,
                 profiler: Optional[EngineProfiler] = None
                 ) -> Dict[str, object]:
@@ -43,16 +60,8 @@ def hub_payload(hub, engine=None,
     hists = getattr(hub, "hist", None)
     if hists is not None and len(hists):
         payload["histograms"] = hists.snapshot()
-    attribution = {}
-    for scope in hub.counters.scopes():
-        drops = drop_attribution(scope)
-        established = established_total(scope)
-        if drops or established:
-            attribution[scope.name] = {
-                "established": established,
-                "drops": drops,
-                "drops_total": sum(drops.values()),
-            }
+    attribution = _handshake_attribution(
+        (scope.name, scope) for scope in hub.counters.scopes())
     if attribution:
         payload["handshake_attribution"] = attribution
     if engine is not None:
@@ -66,43 +75,14 @@ def hub_payload(hub, engine=None,
     return payload
 
 
-def scenario_payload(result) -> Dict[str, object]:
-    """Manifest body for a :class:`~repro.experiments.scenario.ScenarioResult`.
-
-    Duck-typed on purpose (``.engine`` with an ``obs`` hub, plus the
-    listener's stats) so this module never imports the experiments layer.
-    Picklable :class:`~repro.experiments.summary.ScenarioSummary` objects
-    (no live engine) are detected and routed to :func:`summary_payload`.
-    """
-    from repro.obs import hub_for
-
-    if not hasattr(result, "engine"):
-        return summary_payload(result)
-    engine = result.engine
-    hub = hub_for(engine)
-    profiler = getattr(result, "profiler", None)
-    payload = hub_payload(hub, engine=engine, profiler=profiler)
-    sampler = getattr(result, "sampler", None)
-    if sampler is not None and len(sampler.registry):
-        payload["timeseries"] = sampler.snapshot()
-    source = getattr(result, "attribution", None)
-    if source is not None:
-        payload["attribution"] = source.snapshot()
-    stats = result.server_app.listener.stats
-    payload["listener_stats"] = {
-        field: getattr(stats, field)
-        for field in sorted(vars(stats))
-    }
-    return payload
-
-
 def summary_payload(summary) -> Dict[str, object]:
     """Manifest body for a scenario *summary* (a finished, distilled run).
 
-    Duck-typed like :func:`scenario_payload`: anything carrying
-    ``counters`` / ``engine_stats`` / ``listener_stats`` (and optionally
-    ``profile``) mappings works — the engine statistics here include the
-    wall-time fields, since manifests exist to track them.
+    Duck-typed so this module never imports the experiments layer:
+    anything carrying ``counters`` / ``engine_stats`` / ``listener_stats``
+    (and optionally ``profile``) mappings works — the engine statistics
+    here include the wall-time fields, since manifests exist to track
+    them.
     """
     payload: Dict[str, object] = {
         "counters": dict(summary.counters),
@@ -112,16 +92,7 @@ def summary_payload(summary) -> Dict[str, object]:
     if hists:
         payload["histograms"] = {name: hists[name].as_payload()
                                  for name in sorted(hists)}
-    attribution = {}
-    for name, counters in summary.counters.items():
-        drops = drop_attribution(counters)
-        established = established_total(counters)
-        if drops or established:
-            attribution[name] = {
-                "established": established,
-                "drops": drops,
-                "drops_total": sum(drops.values()),
-            }
+    attribution = _handshake_attribution(summary.counters.items())
     if attribution:
         payload["handshake_attribution"] = attribution
     profile = getattr(summary, "profile", None)
@@ -129,8 +100,7 @@ def summary_payload(summary) -> Dict[str, object]:
         payload["profile"] = profile
     series = getattr(summary, "timeseries", None)
     if series:
-        payload["timeseries"] = {name: series[name].as_payload()
-                                 for name in sorted(series)}
+        payload["timeseries"] = series_payload(series)
     source = getattr(summary, "attribution", None)
     if source is not None:
         payload["attribution"] = source

@@ -10,9 +10,10 @@ streaming layer:
   detached: no sampler is built, no events are scheduled, no per-event
   cost anywhere (the zero-overhead invariant of
   ``tests/obs/test_profile.py`` covers this).
-* :class:`TimeSeries` — one named series in a bounded
-  :class:`~repro.metrics.series.RingSeries`: memory is fixed no matter
-  how long the run is. Three kinds: ``rate`` (counter delta / cadence),
+* :class:`TimeSeries` — one named series in a bounded ring of
+  ``(time, value)`` samples: appends past the capacity evict the oldest
+  sample and count it as dropped, so memory is fixed no matter how long
+  the run is. Three kinds: ``rate`` (counter delta / cadence),
   ``gauge`` (instantaneous occupancy), ``quantile`` (histogram
   quantile). Rates and gauges merge sample-for-sample across sweep
   workers; quantiles do not (a quantile of quantiles is meaningless)
@@ -34,11 +35,11 @@ as the counters and histograms.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.metrics.series import RingSeries
 from repro.obs.counters import DROP_CAUSES
 from repro.obs.hist import QUANTILE_LABELS
 
@@ -124,46 +125,57 @@ class TelemetrySpec:
 
 
 class TimeSeries:
-    """One named, kinded, bounded time series."""
+    """One named, kinded, bounded time series.
 
-    __slots__ = ("name", "kind", "cadence", "ring")
+    Plain data: picklable, no engine reference.
+    """
+
+    __slots__ = ("name", "kind", "cadence", "capacity", "dropped",
+                 "_times", "_values")
 
     def __init__(self, name: str, kind: str, cadence: float,
                  capacity: int = 2048) -> None:
         if kind not in ("rate", "gauge", "quantile"):
             raise SimulationError(f"unknown series kind {kind!r}")
+        if capacity < 1:
+            raise SimulationError(
+                f"ring capacity must be >= 1, got {capacity!r}")
         self.name = name
         self.kind = kind
         self.cadence = cadence
-        self.ring = RingSeries(capacity)
+        self.capacity = int(capacity)
+        self.dropped = 0
+        self._times: deque = deque(maxlen=self.capacity)
+        self._values: deque = deque(maxlen=self.capacity)
 
     # ------------------------------------------------------------------
     def record(self, t: float, value: float) -> None:
-        self.ring.append(t, value)
+        if len(self._times) == self.capacity:
+            self.dropped += 1
+        self._times.append(t)
+        self._values.append(value)
 
     def __len__(self) -> int:
-        return len(self.ring)
+        return len(self._times)
 
     def samples(self) -> List[Tuple[float, float]]:
-        return self.ring.samples()
+        """Oldest-to-newest list of retained ``(time, value)`` pairs."""
+        return list(zip(self._times, self._values))
 
-    def arrays(self):
-        return self.ring.arrays()
-
-    @property
-    def dropped(self) -> int:
-        return self.ring.dropped
-
-    @property
-    def capacity(self) -> int:
-        return self.ring.capacity
+    def _reload(self, samples: Iterable[Tuple[float, float]]) -> None:
+        """Refill the ring from ``(time, value)`` pairs (newest past the
+        capacity win, counting the overflow as dropped)."""
+        self._times.clear()
+        self._values.clear()
+        for t, value in samples:
+            self.record(t, value)
 
     # ------------------------------------------------------------------
     def copy(self) -> "TimeSeries":
         clone = TimeSeries(self.name, self.kind, self.cadence,
-                           self.ring.capacity)
-        clone.ring.replace(self.samples())
-        clone.ring.dropped = self.ring.dropped
+                           self.capacity)
+        clone._reload(self.samples())
+        clone.dropped = self.dropped
         return clone
 
     def merge(self, other: "TimeSeries") -> "TimeSeries":
@@ -184,8 +196,8 @@ class TimeSeries:
         acc: Dict[float, float] = dict(self.samples())
         for t, value in other.samples():
             acc[t] = acc.get(t, 0.0) + value
-        self.ring.dropped += other.ring.dropped
-        self.ring.replace(sorted(acc.items()))
+        self.dropped += other.dropped
+        self._reload(sorted(acc.items()))
         return self
 
     # ------------------------------------------------------------------
@@ -194,8 +206,8 @@ class TimeSeries:
             "name": self.name,
             "kind": self.kind,
             "cadence": self.cadence,
-            "capacity": self.ring.capacity,
-            "dropped": self.ring.dropped,
+            "capacity": self.capacity,
+            "dropped": self.dropped,
             "samples": [[t, value] for t, value in self.samples()],
         }
 
@@ -204,9 +216,9 @@ class TimeSeries:
         series = cls(str(payload["name"]), str(payload["kind"]),
                      float(payload.get("cadence", 0.0)),
                      int(payload.get("capacity", 2048)))
-        series.ring.replace(
+        series._reload(
             (float(t), float(v)) for t, v in payload.get("samples", []))
-        series.ring.dropped = int(payload.get("dropped", 0))
+        series.dropped = int(payload.get("dropped", 0))
         return series
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -87,6 +87,17 @@ class TestConnectionTracker:
         engine.run()
         assert tracker.established_in("attacker", 0.0, 3.0) == 2
 
+    def test_labels_sorted_and_queries_leave_unseen_labels_out(self):
+        engine, tracker = self._tracker()
+        tracker.open("client")
+        tracker.open("attacker")
+        tracker.open("client")
+        tracker.attempt_rate("ghost", until=1.0)
+        tracker.established_rate("ghost", until=1.0)
+        assert tracker.labels() == ["attacker", "client"]
+        assert "ghost" not in tracker.attempt_series
+        assert "ghost" not in tracker.established_series
+
 
 class TestHostThroughput:
     def test_rx_tx_classification(self):
