@@ -17,10 +17,11 @@
 #      p95 must fail the gate; the manifests land in benchmarks/output/
 #      for the CI artifact upload;
 #   6. a scheduler regression guard: the two engine micro-benchmarks
-#      (timer_churn, engine_dispatch) run at full scale and are compared
-#      direction-aware against the committed baseline — a throughput
-#      collapse back toward heap-era numbers fails the gate, while
-#      improvements only print notes;
+#      (timer_churn, engine_dispatch) run on the adopted engine and on
+#      the reference heap, interleaved in one process, and the adopted
+#      engine must keep its measured lead over the heap — a ratio, so it
+#      holds on slow hosts and fails when the compiled wheel is lost or
+#      gets markedly slower;
 #   7. a chaos smoke: a small fault matrix with the runtime invariant
 #      checker attached must pass, and a deliberately corrupted queue
 #      accounting must make the checker raise (the negative control);
@@ -147,35 +148,62 @@ grep -q "per-component attribution:" <<<"$perf_out" || {
 }
 
 echo "== scheduler regression guard =="
-# Full-scale run of the two engine micro-benchmarks, compared against
-# the committed baseline. `perf compare` is direction-aware on the perf
-# block (events_per_second down / wall_seconds up fails; improvements
-# are notes), so a regression toward the heap-era scheduler fails here
-# even though the deterministic work counters still match. The wide-ish
-# bands absorb same-machine noise while still catching anything in the
-# "lost the wheel" class (the rewrite moved these micros 7-10x).
-# The committed baseline was measured with the compiled core active; a
-# host without a working C toolchain runs the reference heap engine
-# (several times slower on these micros), so the throughput band is
-# only meaningful when the compiled core actually loaded.
-if python -c "from repro.sim.engine import CEngine; import sys; \
-sys.exit(0 if CEngine is not None else 1)"; then
-    mkdir -p "$smokedir/sched/base"
-    cp benchmarks/output/baseline/BENCH_micro_timer_churn.json \
-       benchmarks/output/baseline/BENCH_micro_engine_dispatch.json \
-       "$smokedir/sched/base/"
-    python -m repro.cli perf micro timer_churn engine_dispatch \
-        --output "$smokedir/sched/cur" > /dev/null
-    python -m repro.cli perf compare "$smokedir/sched/base" \
-        "$smokedir/sched/cur" --perf-tolerance 0.6 \
-        --quantile-tolerance 0.8 || {
-        echo "scheduler guard: engine micro throughput regressed below baseline" >&2
-        exit 1
-    }
-else
-    echo "scheduler guard: compiled engine unavailable, skipping" \
-         "throughput band (counters still gated by the CI baseline step)"
-fi
+# Ops/s of the adopted engine over ops/s of the reference heap, both
+# measured here, round by round, each side keeping its best round: host
+# speed cancels out of the ratio, and interleaving exposes both sides to
+# the same swings of a shared host (separate processes seconds apart
+# read anywhere from 3.7x to 14x). On a shared 2-vCPU VM (Python 3.11)
+# an untouched tree read 6.8x-11.7x over 20 runs, a wheel with doubled
+# per-event cost 3.4x-5.2x, and a forced heap 0.9x-1.0x; the floor sits
+# between. Whether the wheel is expected follows from whether the
+# compiled core builds on this host, not from its adoption, so a core
+# that stops being adopted fails here instead of skipping.
+python - <<'PYEOF'
+import os
+import sys
+
+import repro.sim.engine as engine_mod
+from repro.obs.microbench import run_benchmark
+from repro.sim.accel import load_cengine
+from repro.sim.reference import ReferenceHeapEngine
+
+FLOOR = 5.5
+ROUNDS = 7
+SCALE = 0.5
+
+if os.environ.get("REPRO_ENGINE", "").strip().lower() == "py":
+    print("scheduler guard: REPRO_ENGINE=py runs the heap by request, "
+          "skipping")
+    sys.exit(0)
+try:
+    load_cengine()
+except Exception as exc:
+    print(f"scheduler guard: the compiled core does not build here "
+          f"({type(exc).__name__}), skipping")
+    sys.exit(0)
+adopted = engine_mod.Engine
+lost = []
+for name in ("timer_churn", "engine_dispatch"):
+    best = {}
+    for _ in range(ROUNDS):
+        for side, engine_cls in (("adopted", adopted),
+                                 ("heap", ReferenceHeapEngine)):
+            engine_mod.Engine = engine_cls
+            try:
+                ops = run_benchmark(name, repeats=1,
+                                    scale=SCALE).ops_per_second
+            finally:
+                engine_mod.Engine = adopted
+            best[side] = max(best.get(side, 0.0), ops)
+    ratio = best["adopted"] / best["heap"]
+    print(f"scheduler guard: {name} {best['adopted']:,.0f} ops/s adopted "
+          f"vs {best['heap']:,.0f} heap = {ratio:.2f}x (floor {FLOOR}x)")
+    if ratio < FLOOR:
+        lost.append(name)
+if lost:
+    sys.exit(f"scheduler guard: {', '.join(lost)} fell below {FLOOR}x "
+             f"the reference heap — the compiled wheel was lost or slowed")
+PYEOF
 
 echo "== chaos smoke =="
 # A small fault matrix with invariants on every cell. --output drops the

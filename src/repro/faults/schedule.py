@@ -126,6 +126,12 @@ class ClockSkew:
         if self.jitter < 0:
             raise ExperimentError(
                 f"jitter must be >= 0, got {self.jitter!r}")
+        # A host clock below zero has no cookie time counter or 32-bit
+        # puzzle timestamp to encode.
+        if self.at + self.offset - self.jitter < 0:
+            raise ExperimentError(
+                f"skew would set the clock below zero: at + offset - "
+                f"jitter = {self.at + self.offset - self.jitter!r}")
         if self.jitter > 0 and self.interval <= 0:
             raise ExperimentError(
                 f"jittered skew needs interval > 0, got {self.interval!r}")

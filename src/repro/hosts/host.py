@@ -67,7 +67,9 @@ class CPUResource:
         """Account for synchronous work (e.g. server-side verification)."""
         if hashes < 0:
             raise SimulationError(f"hashes must be >= 0, got {hashes!r}")
-        duration = hashes / self.hash_rate
+        # The profile's rate directly, not the hash_rate property: this
+        # runs once per issued challenge.
+        duration = hashes / self.profile.hash_rate
         start = self.busy_until
         now = self.engine.now
         if now > start:

@@ -23,17 +23,22 @@ suite in ``tests/sim/`` proves it across the full fig7 matrix).
 * :class:`ReplyFastPath` — the server side. SYN-ACKs answering spoofed
   sources are blackholed after consuming the server's uplink; their
   bytes matter (throughput taps, link accounting) but their contents are
-  never read. The listener keeps every side effect of issuing the
-  response (hash and CPU accounting, stats, MIB, tracer, the ISN draw)
-  and then folds just the precomputed on-wire size through the uplink.
+  never read. Each reply kind in the listener does every side effect of
+  issuing the response once (hash and CPU accounting, stats, MIB,
+  tracer, the ISN draw) and then hands its precomputed on-wire size to
+  the listener's one reply seam (``ListenSocket._reply``), which offers
+  it to :meth:`ReplyFastPath.send` and builds a packet only when the
+  offer is declined.
 
 Contract for flyweight reuse: the fast paths engage only while the
 fabric has no packet-level observers (``Network.packet_fault`` unset, no
 ``add_tap`` captures — those may retain packets). Address-indexed
 throughput taps (``add_throughput_tap``) are served: they read only
 ``size_bytes``/``payload_bytes`` per call and retain nothing. Both
-classes re-check the observer set on every send and fall back to the
-materialized per-packet path the moment one appears.
+``send`` methods check the observer set themselves on every call and
+return False, having touched nothing, when the caller must take the
+materialized per-packet path instead; ``ReplyFastPath.send`` also
+declines a reply to a registered address, which is delivered and read.
 
 ``REPRO_FABRIC=packet`` disables both classes (see
 :mod:`repro.net.fabric`), which is how the differential suite runs the
@@ -240,22 +245,19 @@ class ReplyFastPath:
         self._tx_len = 0
         self._tx_adds = None
 
-    def sendable(self, dst_ip: int) -> bool:
-        """True while the reply to *dst_ip* may skip materialization:
-        the destination is unregistered (so the reply is blackholed and
-        its contents never read) and no packet-retaining observers are
-        installed. An instance-level ``host.send`` override (tests spy
-        on outgoing packets that way) also disables the shortcut."""
-        net = self.network
-        return (net.packet_fault is None and not net._taps
-                and dst_ip not in net._hosts_by_ip
-                and "send" not in self.host.__dict__)
-
-    def send(self, size: int, dst_ip: int, dst_port: int) -> None:
+    def send(self, size: int, dst_ip: int, dst_port: int) -> bool:
         """Account one *size*-byte reply toward the uplink blackhole —
         the tail of ``Network.send`` for an unregistered destination,
-        without the packet."""
+        without the packet. False → nothing was touched and the caller
+        must materialize the reply: *dst_ip* is registered (the reply is
+        delivered and read), a packet-retaining observer is installed,
+        or ``host.send`` is overridden on the instance (tests spy on
+        outgoing packets that way)."""
         net = self.network
+        if (net.packet_fault is not None or net._taps
+                or dst_ip in net._hosts_by_ip
+                or "send" in self.host.__dict__):
+            return False
         now = net.engine.now
         tx = net._tx_taps.get(self.src_ip)
         if tx is not None:
@@ -284,6 +286,7 @@ class ReplyFastPath:
             net.packets_dropped += 1
         else:
             net.packets_blackholed += 1
+        return True
 
     def _specialize_tx(self, tx):
         adds = []

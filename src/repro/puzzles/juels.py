@@ -30,7 +30,7 @@ Two solving modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence
 
@@ -46,14 +46,16 @@ from repro.puzzles.params import PuzzleParams
 from repro.puzzles.replay import ExpiryPolicy, Freshness
 from repro.puzzles.secrets import SecretKey
 
-# Prepacked big-endian encoders for the hot challenge path: one C call
-# instead of five ``int.to_bytes`` plus concatenation. Byte layouts are
-# identical to the spelled-out versions they replaced.
-_pack_binding = struct.Struct(">IIIHH").pack
-_pack_issued_ms = struct.Struct(">Q").pack
-#: issue_preimage's fused layout: the ">Q" timestamp immediately followed
-#: by the ">IIIHH" binding — byte-identical to the two packs concatenated.
+#: The pre-image layout, shared by issue and verification: after the
+#: secret key, the issue timestamp in ms (8 bytes), then isn(4) |
+#: src_ip(4) | dst_ip(4) | src_port(2) | dst_port(2), all big-endian.
 _pack_issue = struct.Struct(">QIIIHH").pack
+
+
+def issue_timestamp_ms(now: float) -> int:
+    """The timestamp a challenge issued at *now* carries: whole
+    milliseconds, masked to the 4-byte wire field (Figure 4)."""
+    return int(round(now * 1000.0)) & 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -70,23 +72,6 @@ class FlowBinding:
     src_port: int
     dst_port: int
     isn: int
-    #: Memoised :meth:`pack` output. The same binding is packed at
-    #: challenge issue and again (per candidate secret key) at
-    #: verification; underscore-prefixed so fingerprints and exports skip
-    #: it.
-    _packed: Optional[bytes] = field(default=None, repr=False,
-                                     compare=False)
-
-    def pack(self) -> bytes:
-        """Canonical byte encoding hashed into the pre-image (memoised)."""
-        packed = self._packed
-        if packed is None:
-            # isn(4) | src_ip(4) | dst_ip(4) | src_port(2) | dst_port(2),
-            # all big-endian — same layout as the per-field to_bytes chain.
-            packed = _pack_binding(self.isn, self.src_ip, self.dst_ip,
-                                   self.src_port, self.dst_port)
-            object.__setattr__(self, "_packed", packed)
-        return packed
 
 
 @dataclass(frozen=True)
@@ -256,39 +241,52 @@ class JuelsBrainardScheme:
     def preimage(self, binding: FlowBinding, issued_at_ms: int,
                  length_bytes: int, key: Optional[bytes] = None,
                  counter: Optional[HashCounter] = None) -> bytes:
-        """First ``l`` bytes of ``h(secret, T, packet-level data)``."""
+        """First ``l`` bytes of ``h(secret, T, packet-level data)``, as
+        verification recomputes it from the echoed timestamp and the
+        packet's own fields under *key* (default: the current secret).
+
+        The material is packed in the one layout :meth:`issue_preimage`
+        hashes, so a challenge issued at ``T`` and re-derived here for
+        the same flow and key yields the same bytes."""
         if key is None:
             key = self.secret.current
-        material = key + _pack_issued_ms(issued_at_ms) + binding.pack()
+        material = key + _pack_issue(
+            issued_at_ms, binding.isn, binding.src_ip, binding.dst_ip,
+            binding.src_port, binding.dst_port)
         return sha256(material, counter)[:length_bytes]
 
     def make_challenge(self, params: PuzzleParams, binding: FlowBinding,
                        now: float,
                        counter: Optional[HashCounter] = None) -> Challenge:
-        """Generate a challenge at time *now* (one hash operation)."""
-        # Masked to 32 bits to match the 4-byte wire timestamp (Figure 4).
-        issued_at_ms = int(round(now * 1000.0)) & 0xFFFFFFFF
-        preimage = self.preimage(binding, issued_at_ms, params.length_bytes,
-                                 counter=counter)
+        """Generate a challenge at time *now* (one hash operation): the
+        :meth:`issue_preimage` hash wrapped with its parameters,
+        timestamp and binding."""
+        preimage = self.issue_preimage(
+            params, binding.src_ip, binding.dst_ip, binding.src_port,
+            binding.dst_port, binding.isn, now, counter=counter)
         return Challenge(params=params, preimage=preimage,
-                         issued_at_ms=issued_at_ms, binding=binding)
+                         issued_at_ms=issue_timestamp_ms(now),
+                         binding=binding)
 
     def issue_preimage(self, params: PuzzleParams, src_ip: int,
                        dst_ip: int, src_port: int, dst_port: int,
                        isn: int, now: float,
                        counter: Optional[HashCounter] = None) -> bytes:
-        """The challenge-issue hash from struct-packed material, with no
-        FlowBinding/Challenge allocation — the hot path for responses
-        whose challenge block is never read (replies to spoofed floods
-        that the fabric blackholes). Hash input, counter accounting and
-        the returned pre-image are byte-identical to
-        ``make_challenge(...).preimage``."""
-        issued_at_ms = int(round(now * 1000.0)) & 0xFFFFFFFF
-        # One fused pack (">Q" timestamp ‖ ">IIIHH" binding) and a direct
-        # hashlib call: same material, same digest, same counter charge
-        # as preimage()/sha256(), minus three frames per challenge.
+        """The challenge-issue hash: the pre-image of a challenge issued
+        at *now* for the flow's fields, under the current secret.
+
+        Every challenge is issued through here, :meth:`make_challenge`
+        included. It takes plain integers, so a SYN-ACK whose challenge
+        block is never read (replies to spoofed sources that the fabric
+        blackholes) costs no FlowBinding or Challenge allocation. It
+        charges *counter* one hash, as
+        :func:`~repro.crypto.sha256.sha256` would, and returns the bytes
+        :meth:`preimage` recomputes at verification."""
+        # issue_timestamp_ms(now), inlined: this runs for every challenge
+        # a flood draws, and a frame here is measurable.
         material = self.secret.current + _pack_issue(
-            issued_at_ms, isn, src_ip, dst_ip, src_port, dst_port)
+            int(round(now * 1000.0)) & 0xFFFFFFFF, isn, src_ip, dst_ip,
+            src_port, dst_port)
         if counter is not None:
             counter.count += 1
         return _hashlib_sha256(material).digest()[:params.length_bytes]

@@ -27,8 +27,9 @@ from repro.net.floodpath import (MSS_SYNACK_SIZE, challenge_synack_size,
                                  plain_synack_size)
 from repro.net.packet import (FLAG_SYNACK, Packet, TCPOptions,
                               mss_options)
-from repro.puzzles.juels import FlowBinding, JuelsBrainardScheme, \
-    VerifyStatus
+from repro.puzzles.juels import (Challenge, FlowBinding,
+                                 JuelsBrainardScheme, VerifyStatus,
+                                 issue_timestamp_ms)
 from repro.puzzles.params import PuzzleParams
 from repro.tcp.constants import (
     DEFAULT_ACCEPT_BACKLOG,
@@ -48,6 +49,13 @@ from repro.tcp.tcb import EstablishPath, HalfOpenTCB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tcp.stack import TCPStack
+
+# The defense modes handle_syn and protection_active test on every SYN,
+# as module globals: on CPython 3.11 reading a member off the Enum class
+# goes through its metaclass and costs about as much as a call frame.
+_NO_DEFENSE = DefenseMode.NONE
+_PUZZLES = DefenseMode.PUZZLES
+_SYNCACHE = DefenseMode.SYNCACHE
 
 
 @dataclass
@@ -125,8 +133,26 @@ class ListenerStats:
                 + self.established_puzzle + self.established_syncache)
 
 
+def _challenge_options(params: PuzzleParams, preimage: bytes, now: float,
+                       syn: Packet) -> TCPOptions:
+    """Option block of a materialized challenge SYN-ACK answering *syn*:
+    the pre-image issued at *now*, bound to the SYN's flow."""
+    binding = FlowBinding(src_ip=syn.src_ip, dst_ip=syn.dst_ip,
+                          src_port=syn.src_port, dst_port=syn.dst_port,
+                          isn=syn.seq)
+    return TCPOptions(mss=DEFAULT_MSS, challenge=Challenge(
+        params=params, preimage=preimage,
+        issued_at_ms=issue_timestamp_ms(now), binding=binding))
+
+
 class ListenSocket:
-    """A passive-open socket with pluggable state-exhaustion defenses."""
+    """A passive-open socket with pluggable state-exhaustion defenses.
+
+    Every SYN-ACK kind has one issue path that does its side effects once
+    (hash, CPU charge, stats and MIB, tracer, ISN draw) and then calls
+    :meth:`_reply`, the one place that decides between the flyweight
+    fast path and a materialized packet.
+    """
 
     def __init__(self, stack: "TCPStack", port: int,
                  config: Optional[DefenseConfig] = None) -> None:
@@ -222,20 +248,24 @@ class ListenSocket:
         Deliberately instantaneous (the paper's "enabled when the
         socket's queue is full"): SYNs arriving in momentary openings take
         the stock path, which is what keeps the listen queue supplied
-        with strandable half-opens during an attack.
+        with strandable half-opens during an attack. With puzzles, every
+        such observation refreshes the sticky attack window.
         """
-        if self.config.mode is DefenseMode.NONE:
-            return False
-        if self.config.mode is DefenseMode.PUZZLES:
-            pressured = (self.config.always_challenge
-                         or self.listen_queue.full
-                         or self.accept_queue.full)
-            if pressured:
+        config = self.config
+        mode = config.mode
+        # The queue-full probes are plain len() calls on the queues'
+        # containers (see __init__): handle_syn asks on every SYN.
+        if mode is _PUZZLES:
+            if (config.always_challenge
+                    or len(self._lq_table) >= self.listen_queue.backlog
+                    or len(self._aq_queue) >= self.accept_queue.backlog):
                 self._attack_until = (self.host.engine.now
-                                      + self.config.ack_discipline_hold)
-            return pressured
+                                      + config.ack_discipline_hold)
+                return True
+            return False
         # Cookies/cache engage on listen-queue pressure only (stock Linux).
-        return self.listen_queue.full
+        return (mode is not _NO_DEFENSE
+                and len(self._lq_table) >= self.listen_queue.backlog)
 
     @property
     def under_attack(self) -> bool:
@@ -285,28 +315,16 @@ class ListenSocket:
                             (packet.src_ip, packet.src_port, self.port),
                             reason="admission")
             return
-        config = self.config
-        mode = config.mode
-
-        if mode is DefenseMode.PUZZLES:
-            # protection_active inlined (its property frame is measurable
-            # at flood rates), as are both queue-full probes: any
-            # currently full queue — or the always-challenge override —
-            # triggers a challenge, and every such observation refreshes
-            # the sticky attack window.
-            if (config.always_challenge
-                    or len(self._lq_table) >= self.listen_queue.backlog
-                    or len(self._aq_queue) >= self.accept_queue.backlog):
-                self._attack_until = (self.host.engine.now
-                                      + config.ack_discipline_hold)
-                self._send_challenge(packet)
-                return
-        elif (mode is DefenseMode.SYNCOOKIES
-                and len(self._lq_table) >= self.listen_queue.backlog):
-            self._send_cookie_synack(packet)
-            return
-        elif mode is DefenseMode.SYNCACHE:
+        mode = self.config.mode
+        if mode is _SYNCACHE:
             self._syncache_insert(packet)
+            return
+        # Without a defense there is no trigger to ask: skip its frame.
+        if mode is not _NO_DEFENSE and self.protection_active:
+            if mode is _PUZZLES:
+                self._send_challenge(packet)
+            else:
+                self._send_cookie_synack(packet)
             return
 
         # Stock path: allocate half-open state if the backlog allows.
@@ -326,7 +344,10 @@ class ListenSocket:
         flow = (packet.src_ip, packet.src_port, self.port)
         existing = self.listen_queue.get(flow)
         if existing is not None:
-            self._send_plain_synack(existing)
+            self._send_plain_synack(
+                existing.remote_ip, existing.remote_port,
+                existing.local_isn, existing.remote_isn, existing.wscale,
+                existing.retransmits)
             return
         tcb = HalfOpenTCB(
             remote_ip=packet.src_ip, remote_port=packet.src_port,
@@ -343,7 +364,9 @@ class ListenSocket:
                 self.attribution.on_drop(tcb.remote_ip, "ListenOverflows")
             self._trace("drop", tcb.flow, reason="listen-overflow")
             return
-        self._send_plain_synack(tcb)
+        self._send_plain_synack(tcb.remote_ip, tcb.remote_port,
+                                tcb.local_isn, tcb.remote_isn, tcb.wscale,
+                                tcb.retransmits)
         self._arm_synack_timer(tcb)
 
     def _resolve_fast_reply(self):
@@ -364,28 +387,37 @@ class ListenSocket:
         self._fast_reply = fast
         return fast
 
-    def _send_plain_synack(self, tcb: HalfOpenTCB) -> None:
+    def _reply(self, size: int, dst_ip: int, dst_port: int, seq: int,
+               ack: int, options: Callable[..., TCPOptions],
+               args: tuple) -> None:
+        """Send one SYN-ACK of *size* on-wire bytes, once its kind's side
+        effects are done: the fast path folds just the bytes toward a
+        spoofed peer, and when it declines (see
+        :meth:`ReplyFastPath.send`) the packet is built here, with
+        ``options(*args)`` as its option block, and sent."""
+        fast = self._fast_reply
+        if fast is None:
+            fast = self._resolve_fast_reply()
+        if fast is not False and fast.send(size, dst_ip, dst_port):
+            return
+        self.host.send(Packet(src_ip=self.host.address, dst_ip=dst_ip,
+                              src_port=self.port, dst_port=dst_port,
+                              seq=seq, ack=ack, flags=FLAG_SYNACK,
+                              options=options(*args)))
+
+    def _send_plain_synack(self, remote_ip: int, remote_port: int,
+                           local_isn: int, remote_isn: int, wscale,
+                           retransmits: int) -> None:
         self.stats.synacks_plain += 1
         self._mib_incr("SynAcksSent")
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(self.host.engine.now, self.host.name, "synack-out",
-                        tcb.flow, retrans=tcb.retransmits)
-        fast = self._fast_reply
-        if fast is None:
-            fast = self._resolve_fast_reply()
-        if fast is not False and fast.sendable(tcb.remote_ip):
-            # Spoofed peer, no packet observers: the SYN-ACK is pure
-            # uplink bytes. Same counters and fold, no materialization.
-            fast.send(plain_synack_size(tcb.wscale), tcb.remote_ip,
-                      tcb.remote_port)
-            return
-        options = TCPOptions(mss=DEFAULT_MSS, wscale=tcb.wscale)
-        packet = Packet(src_ip=self.host.address, dst_ip=tcb.remote_ip,
-                        src_port=self.port, dst_port=tcb.remote_port,
-                        seq=tcb.local_isn, ack=tcb.remote_isn + 1,
-                        flags=FLAG_SYNACK, options=options)
-        self.host.send(packet)
+                        (remote_ip, remote_port, self.port),
+                        retrans=retransmits)
+        self._reply(plain_synack_size(wscale), remote_ip, remote_port,
+                    local_isn, remote_isn + 1, TCPOptions,
+                    (DEFAULT_MSS, wscale))
 
     def _arm_synack_timer(self, tcb: HalfOpenTCB) -> None:
         # Per-step ±10% jitter (timer wheel) on top of the entry's own
@@ -414,7 +446,9 @@ class ListenSocket:
             return
         tcb.retransmits += 1
         self._mib_incr("SynAckRetrans")
-        self._send_plain_synack(tcb)
+        self._send_plain_synack(tcb.remote_ip, tcb.remote_port,
+                                tcb.local_isn, tcb.remote_isn, tcb.wscale,
+                                tcb.retransmits)
         self._arm_synack_timer(tcb)
 
     def _arm_syncache_reaper(self) -> None:
@@ -439,92 +473,51 @@ class ListenSocket:
 
     def _send_challenge(self, packet: Packet) -> None:
         config = self.config
-        scheme = config.scheme
+        host = self.host
         params = config.puzzle_params
         if config.fairness is not None:
             params = config.fairness.difficulty_for(
-                packet.src_ip, self.host.engine.now)
-        fast = self._fast_reply
-        if fast is None:
-            fast = self._resolve_fast_reply()
-        if fast is not False and fast.sendable(packet.src_ip):
-            # Spoofed peer, no packet observers: the challenge block is
-            # never read, so issue it from struct-packed material (same
-            # hash and counter accounting, same ISN draw) and fold just
-            # the response's bytes through the uplink.
-            host = self.host
-            scheme.issue_preimage(
-                params, packet.src_ip, packet.dst_ip, packet.src_port,
-                packet.dst_port, packet.seq, host.now,
-                counter=host.hash_counter)
-            host.cpu.consume(1)
-            self.stats.synacks_challenge += 1
-            values = self._mib_values
-            values["PuzzlesIssued"] = values.get("PuzzlesIssued", 0) + 1
-            tracer = self._tracer
-            if tracer.enabled:
-                tracer.emit(host.engine.now, host.name,
-                            "challenge-out",
-                            (packet.src_ip, packet.src_port, self.port),
-                            k=params.k, m=params.m)
-            # stack.new_isn() inlined — the same single getrandbits(32)
-            # draw, minus two frames per challenge.
-            host.rng.getrandbits(32)
-            size = self._challenge_size
-            if size is None or size[0] is not params:
-                size = (params, challenge_synack_size(params))
-                self._challenge_size = size
-            fast.send(size[1], packet.src_ip, packet.src_port)
-            return
-        binding = FlowBinding(src_ip=packet.src_ip, dst_ip=packet.dst_ip,
-                              src_port=packet.src_port,
-                              dst_port=packet.dst_port, isn=packet.seq)
+                packet.src_ip, host.engine.now)
         # Timestamp reads go through the host's wall-clock view (engine
         # time plus injected skew) — timers elsewhere stay monotonic.
-        challenge = scheme.make_challenge(
-            params, binding, self.host.now,
-            counter=self.host.hash_counter)
-        self.host.cpu.consume(1)  # g(p) = 1 hash of server CPU time
+        now = host.now
+        preimage = config.scheme.issue_preimage(
+            params, packet.src_ip, packet.dst_ip, packet.src_port,
+            packet.dst_port, packet.seq, now, counter=host.hash_counter)
+        host.cpu.consume(1)  # g(p) = 1 hash of server CPU time
         self.stats.synacks_challenge += 1
-        self._mib_incr("PuzzlesIssued")
+        values = self._mib_values
+        values["PuzzlesIssued"] = values.get("PuzzlesIssued", 0) + 1
         tracer = self._tracer
         if tracer.enabled:
-            tracer.emit(self.host.engine.now, self.host.name,
-                        "challenge-out",
+            tracer.emit(host.engine.now, host.name, "challenge-out",
                         (packet.src_ip, packet.src_port, self.port),
                         k=params.k, m=params.m)
-        options = TCPOptions(mss=DEFAULT_MSS, challenge=challenge)
-        response = Packet(src_ip=self.host.address, dst_ip=packet.src_ip,
-                          src_port=self.port, dst_port=packet.src_port,
-                          seq=self.stack.new_isn(), ack=packet.seq + 1,
-                          flags=FLAG_SYNACK, options=options)
-        self.host.send(response)
+        # stack.new_isn() inlined — the same single getrandbits(32) draw,
+        # minus a frame per challenge.
+        isn = host.rng.getrandbits(32)
+        size = self._challenge_size
+        if size is None or size[0] is not params:
+            size = (params, challenge_synack_size(params))
+            self._challenge_size = size
+        self._reply(size[1], packet.src_ip, packet.src_port, isn,
+                    packet.seq + 1, _challenge_options,
+                    (params, preimage, now, packet))
 
     def _send_cookie_synack(self, packet: Packet) -> None:
         cookie = self._cookie_codec.encode(
             self.host.now, packet.src_ip, packet.src_port,
             self.port, packet.seq, packet.options.mss or DEFAULT_MSS)
         self.stats.synacks_cookie += 1
-        self._mib_incr("SynCookiesSent")
+        values = self._mib_values
+        values["SynCookiesSent"] = values.get("SynCookiesSent", 0) + 1
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(self.host.engine.now, self.host.name, "cookie-out",
                         (packet.src_ip, packet.src_port, self.port))
-        fast = self._fast_reply
-        if fast is None:
-            fast = self._resolve_fast_reply()
-        if fast is not False and fast.sendable(packet.src_ip):
-            # The cookie is already minted (and its encoding cost paid);
-            # a spoofed peer will never echo it, so only bytes remain.
-            fast.send(MSS_SYNACK_SIZE, packet.src_ip, packet.src_port)
-            return
         # wscale is lost with cookies; the MSS-only shape is interned.
-        options = mss_options(DEFAULT_MSS)
-        response = Packet(src_ip=self.host.address, dst_ip=packet.src_ip,
-                          src_port=self.port, dst_port=packet.src_port,
-                          seq=cookie, ack=packet.seq + 1,
-                          flags=FLAG_SYNACK, options=options)
-        self.host.send(response)
+        self._reply(MSS_SYNACK_SIZE, packet.src_ip, packet.src_port, cookie,
+                    packet.seq + 1, mss_options, (DEFAULT_MSS,))
 
     def _syncache_insert(self, packet: Packet) -> None:
         config = self.config
@@ -559,12 +552,8 @@ class ListenSocket:
                 self.attribution.on_drop(packet.src_ip, "SynCacheRejects")
             self._trace("drop", entry.flow, reason="syncache-reject")
             return
-        tcb = HalfOpenTCB(
-            remote_ip=packet.src_ip, remote_port=packet.src_port,
-            local_port=self.port, remote_isn=packet.seq,
-            local_isn=entry.local_isn, mss=entry.mss, wscale=entry.wscale,
-            created_at=entry.created_at)
-        self._send_plain_synack(tcb)
+        self._send_plain_synack(packet.src_ip, packet.src_port,
+                                entry.local_isn, packet.seq, entry.wscale, 0)
 
     # ------------------------------------------------------------------
     # ACK handling
@@ -609,19 +598,15 @@ class ListenSocket:
         if self.config.mode is DefenseMode.SYNCACHE:
             entry = self.config.syncache.complete(flow)
             if entry is not None:
-                return self._install(packet, EstablishPath.SYNCACHE,
-                                     entry.mss, entry.wscale)
-            if self.config.syncache_high_watermark is not None:
-                # Fallback rung armed: this ACK may answer a cookie the
-                # overloaded cache served instead of a record. Validate
-                # statelessly before declaring a miss.
-                state = self._cookie_codec.decode(
-                    self.host.now, (packet.ack - 1) & 0xFFFFFFFF,
-                    packet.src_ip, packet.src_port, self.port,
-                    (packet.seq - 1) & 0xFFFFFFFF)
-                if state is not None:
-                    self._mib_incr("SynCookiesRecv")
-                    return self._complete_cookie(packet, state)
+                return self._install_tcb(packet.src_ip, packet.src_port,
+                                         EstablishPath.SYNCACHE, entry.mss,
+                                         entry.wscale)
+            # Fallback rung armed: this ACK may answer a cookie the
+            # overloaded cache served instead of a record. Validate
+            # statelessly before declaring a miss.
+            if (self.config.syncache_high_watermark is not None
+                    and self._complete_cookie(packet)):
+                return True
             self._mib_incr("SynCacheMisses")
             if self.attribution is not None:
                 self.attribution.on_drop(packet.src_ip, "SynCacheMisses")
@@ -629,13 +614,8 @@ class ListenSocket:
             return False
 
         if self.config.mode is DefenseMode.SYNCOOKIES:
-            state = self._cookie_codec.decode(
-                self.host.now, (packet.ack - 1) & 0xFFFFFFFF,
-                packet.src_ip, packet.src_port, self.port,
-                (packet.seq - 1) & 0xFFFFFFFF)
-            if state is not None:
-                self._mib_incr("SynCookiesRecv")
-                return self._complete_cookie(packet, state)
+            if self._complete_cookie(packet):
+                return True
             self.stats.cookies_invalid += 1
             self._mib_incr("SynCookiesFailed")
             if self.attribution is not None:
@@ -731,10 +711,22 @@ class ListenSocket:
             self._trace("reject", flow, reason=result.status.value)
             return True  # silently dropped, no RST: stateless server
         self._mib_incr("PuzzlesVerified")
-        return self._install(packet, EstablishPath.PUZZLE,
-                             solution.mss, solution.wscale)
+        return self._install_tcb(packet.src_ip, packet.src_port,
+                                 EstablishPath.PUZZLE, solution.mss,
+                                 solution.wscale)
 
-    def _complete_cookie(self, packet: Packet, state) -> bool:
+    def _complete_cookie(self, packet: Packet) -> bool:
+        """Complete a handshake through the SYN cookie *packet* echoes.
+
+        False when the cookie does not validate (the caller counts the
+        failure); True once a valid one is handled."""
+        state = self._cookie_codec.decode(
+            self.host.now, (packet.ack - 1) & 0xFFFFFFFF,
+            packet.src_ip, packet.src_port, self.port,
+            (packet.seq - 1) & 0xFFFFFFFF)
+        if state is None:
+            return False
+        self._mib_incr("SynCookiesRecv")
         if self.accept_queue.full:
             self.stats.accept_drops_full += 1
             self._mib_incr("AcceptOverflows")
@@ -744,13 +736,9 @@ class ListenSocket:
                         (packet.src_ip, packet.src_port, self.port),
                         reason="accept-overflow")
             return True
-        return self._install(packet, EstablishPath.COOKIE, state.mss,
-                             state.wscale)
-
-    def _install(self, packet: Packet, path: EstablishPath, mss: int,
-                 wscale) -> bool:
-        return self._install_tcb(packet.src_ip, packet.src_port, path, mss,
-                                 wscale)
+        return self._install_tcb(packet.src_ip, packet.src_port,
+                                 EstablishPath.COOKIE, state.mss,
+                                 state.wscale)
 
     def _install_tcb(self, remote_ip: int, remote_port: int,
                      path: EstablishPath, mss: int, wscale) -> bool:

@@ -42,6 +42,13 @@ class TestValidation:
         with pytest.raises(ExperimentError):
             ClockSkew(host="server", at=0.0, offset=1.0, jitter=0.5,
                       interval=0.0)
+        # A skew that would put the host clock below zero, directly or
+        # through its jitter band.
+        with pytest.raises(ExperimentError):
+            ClockSkew(host="server", at=0.5, offset=-10.0)
+        with pytest.raises(ExperimentError):
+            ClockSkew(host="server", at=2.0, offset=-1.5, jitter=1.0)
+        ClockSkew(host="server", at=2.0, offset=-1.5, jitter=0.5)
         # jitter=0 with any interval is fine (interval unused)
         ClockSkew(host="server", at=0.0, offset=1.0)
 

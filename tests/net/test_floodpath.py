@@ -8,6 +8,7 @@ scheme that forgets the fast path fails here instead of as a byte
 mismatch deep inside the differential suite.
 """
 
+import dataclasses
 import json
 import random
 import subprocess
@@ -16,15 +17,20 @@ import sys
 import pytest
 
 from repro.crypto.sha256 import HashCounter
+from repro.net import fabric
 from repro.net.fabric import (CFabricPath, PyFabricPath, _fabric_gate,
                               fold_links)
-from repro.net.floodpath import (MSS_SYNACK_SIZE, challenge_synack_size,
-                                 plain_synack_size)
+from repro.net.floodpath import (MSS_SYNACK_SIZE, ReplyFastPath,
+                                 challenge_synack_size, plain_synack_size)
 from repro.net.link import Link
-from repro.net.packet import FLAG_SYNACK, Packet, TCPOptions, mss_options
-from repro.puzzles.juels import FlowBinding, JuelsBrainardScheme
+from repro.net.packet import (FLAG_SYN, FLAG_SYNACK, Packet, TCPOptions,
+                              mss_options)
+from repro.puzzles.juels import (FlowBinding, JuelsBrainardScheme,
+                                 issue_timestamp_ms)
 from repro.puzzles.params import PuzzleParams
-from repro.tcp.constants import DEFAULT_MSS
+from repro.tcp.constants import DEFAULT_MSS, DefenseMode
+from repro.tcp.listener import DefenseConfig
+from tests.conftest import MiniNet
 
 
 def _synack(options) -> Packet:
@@ -59,6 +65,10 @@ class TestSizePins:
 
 
 class TestIssuePreimagePin:
+    """Issue and verification hash the same material: the pre-image a
+    challenge is issued with is the one :meth:`preimage` recomputes from
+    the echoed timestamp and the flow."""
+
     @pytest.mark.parametrize("params", [
         PuzzleParams(k=1, m=8),
         PuzzleParams(k=2, m=17),
@@ -71,10 +81,13 @@ class TestIssuePreimagePin:
                               src_port=41234, dst_port=80,
                               isn=0xDEADBEEF)
         challenge = scheme.make_challenge(params, binding, now)
-        fused = scheme.issue_preimage(
+        issued = scheme.issue_preimage(
             params, binding.src_ip, binding.dst_ip, binding.src_port,
             binding.dst_port, binding.isn, now)
-        assert fused == challenge.preimage
+        assert issued == challenge.preimage
+        assert challenge.issued_at_ms == issue_timestamp_ms(now)
+        assert issued == scheme.preimage(binding, challenge.issued_at_ms,
+                                         params.length_bytes)
 
     def test_charges_counter_identically(self):
         scheme = JuelsBrainardScheme()
@@ -83,9 +96,99 @@ class TestIssuePreimagePin:
                               isn=5)
         reference = HashCounter("ref")
         fused = HashCounter("fused")
+        verifier = HashCounter("verify")
         scheme.make_challenge(params, binding, 1.0, counter=reference)
         scheme.issue_preimage(params, 1, 2, 3, 4, 5, 1.0, counter=fused)
-        assert fused.count == reference.count == 1
+        scheme.preimage(binding, issue_timestamp_ms(1.0),
+                        params.length_bytes, counter=verifier)
+        assert fused.count == reference.count == verifier.count == 1
+
+
+#: An address no host registers: replies to it are blackholed.
+SPOOFED_IP = 0xC6336401
+
+#: The listener configuration that answers a spoofed SYN with each
+#: SYN-ACK kind (the cookie listener's one-slot queue is pre-filled).
+REPLY_KINDS = {
+    "plain": lambda: DefenseConfig(),
+    "cookie": lambda: DefenseConfig(mode=DefenseMode.SYNCOOKIES, backlog=1),
+    "challenge": lambda: DefenseConfig(mode=DefenseMode.PUZZLES,
+                                       always_challenge=True),
+}
+
+
+def _spoofed_syn(server, src_ip, src_port=40000, seq=0x1234567):
+    return Packet(src_ip=src_ip, dst_ip=server.address, src_port=src_port,
+                  dst_port=80, seq=seq, flags=FLAG_SYN,
+                  options=mss_options(DEFAULT_MSS))
+
+
+def _answer_spoofed_syn(kind, tapped):
+    """Answer one spoofed SYN with a *kind* SYN-ACK; with *tapped*, a
+    capture tap installed first forces the reply to be materialized.
+
+    Returns the server-side state the reply leaves behind, the bytes
+    it added to the server's uplink, the listener, the SYN and the
+    captured packets."""
+    net = MiniNet()
+    server = net.server
+    listener = server.tcp.listen(80, REPLY_KINDS[kind]())
+    if kind == "cookie":
+        listener.handle_syn(_spoofed_syn(server, SPOOFED_IP + 1))
+    net.run(until=1.2345)
+    uplink = net.network._blackhole_path_for(server.name).links[0]
+    captured = []
+    if tapped:
+        net.network.add_tap(
+            lambda now, packet, event: captured.append((event, packet)))
+    before = uplink.bytes_sent
+    syn = _spoofed_syn(server, SPOOFED_IP)
+    listener.handle_syn(syn)
+    state = {
+        "rng": server.rng.getstate(),
+        "mib": server.mib.snapshot(),
+        "stats": dataclasses.asdict(listener.stats),
+        "hashes": server.hash_counter.count,
+        "cpu_busy": server.cpu.busy_seconds(),
+        "blackholed": net.network.packets_blackholed,
+        "dropped": net.network.packets_dropped,
+        "scheduled": net.engine.stats()["events_scheduled"],
+    }
+    sent = [packet for event, packet in captured if event == "send"]
+    return state, uplink.bytes_sent - before, listener, syn, sent
+
+
+@pytest.mark.skipif(not fabric.BATCHED,
+                    reason="REPRO_FABRIC=packet: no reply fast path")
+class TestReplySeam:
+    """Every SYN-ACK kind leaves the same state whether the reply seam
+    folds it on the fast path or materializes it for an observer."""
+
+    @pytest.mark.parametrize("kind", sorted(REPLY_KINDS))
+    def test_fast_and_materialized_replies_agree(self, kind):
+        fast_state, fast_bytes, fast_listener, _, fast_sent = \
+            _answer_spoofed_syn(kind, tapped=False)
+        assert isinstance(fast_listener._fast_reply, ReplyFastPath)
+        assert fast_sent == []
+        state, tapped_bytes, listener, syn, sent = _answer_spoofed_syn(
+            kind, tapped=True)
+        assert state == fast_state
+        assert fast_state["blackholed"] >= 1
+        assert len(sent) == 1
+        reply = sent[0]
+        assert reply.flags == FLAG_SYNACK
+        assert (reply.dst_ip, reply.dst_port) == (syn.src_ip, syn.src_port)
+        assert reply.ack == syn.seq + 1
+        assert reply.size_bytes == fast_bytes == tapped_bytes
+        if kind == "challenge":
+            challenge = reply.options.challenge
+            binding = FlowBinding(src_ip=syn.src_ip, dst_ip=syn.dst_ip,
+                                  src_port=syn.src_port,
+                                  dst_port=syn.dst_port, isn=syn.seq)
+            assert challenge.binding == binding
+            assert challenge.preimage == listener.config.scheme.preimage(
+                binding, challenge.issued_at_ms,
+                challenge.params.length_bytes)
 
 
 def _mixed_links(seed):

@@ -284,16 +284,22 @@ class TestAdoption:
 
 _SCENARIO_PROBE = r"""
 import hashlib, json, sys
+from dataclasses import replace
 from repro.experiments.exp2_floods import FloodExperiment
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.summary import run_scenario_summary
 from repro.faults.chaos import overload_matrix
 from repro.runner.export import cells_to_jsonl
+from repro.tcp.fairness import FairnessConfig
 
 label = sys.argv[1]
 base = ScenarioConfig(time_scale=0.02)
 if label.startswith("overload-"):
     summary = run_scenario_summary(overload_matrix(base)[label].config)
+elif label == "challenges-m17-fair":
+    summary = FloodExperiment(
+        defense="challenges-m17", attack_style="syn",
+        base=replace(base, fairness=FairnessConfig())).summary()
 else:
     summary = FloodExperiment(defense=label, attack_style="syn",
                               base=base).summary()
@@ -325,9 +331,11 @@ print(stats.jobs, hashlib.sha256(jsonl.encode()).hexdigest())
 """
 
 #: The fig7 cells plus one overload-ladder cell (admission control,
-#: budgeted syncache, cookie fallback, watchdog).
+#: budgeted syncache, cookie fallback, watchdog) and one fairness-priced
+#: puzzle cell (per-source params, so the challenge's size changes from
+#: SYN to SYN).
 _FIG7_LABELS = ("nodefense", "cookies", "challenges-m8", "challenges-m17",
-                "overload-oldest")
+                "overload-oldest", "challenges-m17-fair")
 
 
 def _run_probe(script, arg, env_extra):
