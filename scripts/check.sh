@@ -43,7 +43,12 @@
 #  11. the fast examples: quickstart, iot_botnet, nash_tuning,
 #      lossy_links and capture_traffic (its pcap goes to the scratch
 #      directory) must run to completion; quickstart and iot_botnet read
-#      the run-level queries off live scenario results.
+#      the run-level queries off live scenario results;
+#  12. the benchmark's correctness gate: one short `perfbench/run.py` run
+#      per workload at seed 1 must pass every cell's checks, including
+#      the model digests pinned in perfbench/digests.json, so a speed-up
+#      that changes what the simulator computes fails here; a run with a
+#      fault injected into one cell must fail (the negative control).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -349,5 +354,23 @@ python examples/capture_traffic.py "$smokedir/handshake.pcap" > /dev/null
     exit 1
 }
 echo "examples: 5 ran"
+
+echo "== perfbench digests =="
+# Timings are not gated here, only correctness: every cell must match
+# its pinned seed-1 digest. Run records go to perfbench/out/ (ignored).
+for workload in syn_flood conn_flood overload_ladder; do
+    python perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+        --trace 0 > /dev/null || {
+        echo "perfbench: $workload failed its checks at seed 1" >&2
+        exit 1
+    }
+    echo "perfbench: $workload correct, digests as pinned"
+done
+if python perfbench/run.py --workload conn_flood --seed 1 --seconds 1 \
+        --trace 0 --inject-fault cookies > /dev/null 2>&1; then
+    echo "perfbench: a fault injected into the cookies cell passed" >&2
+    exit 1
+fi
+echo "perfbench: injected fault caught"
 
 echo "== all checks passed =="

@@ -23,6 +23,11 @@ class CodecError(NetworkError):
     """A TCP options block could not be encoded or decoded."""
 
 
+class PortsExhaustedError(NetworkError):
+    """Every ephemeral port toward a destination is in use — what a real
+    ``connect()`` reports as ``EADDRNOTAVAIL``."""
+
+
 class PuzzleError(ReproError):
     """Puzzle construction, solving, or verification failed structurally
     (distinct from a well-formed solution that is simply *wrong*)."""

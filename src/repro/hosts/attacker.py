@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import SimulationError
+from repro.errors import PortsExhaustedError, SimulationError
 from repro.hosts.host import Host
 from repro.metrics.connections import ConnectionTracker
 from repro.net.addresses import SpoofingPool
@@ -153,6 +153,19 @@ class ConnectionFlooder:
         self.stats = AttackStats()
         self._zombies: Dict[ClientConnection, float] = {}
         self._slot_holders: set = set()  # conns occupying a pool slot
+        # One handshake config for every attempt: the tool's sockets all
+        # behave alike, and a flood tool fires and forgets (no SYN
+        # retransmissions).
+        kwargs = dict(supports_puzzles=config.solve,
+                      solve_puzzles=config.solve, syn_retries=0)
+        if config.solver is not None:
+            kwargs["solver"] = config.solver
+        self._conn_config = ClientConnConfig(**kwargs)
+        # Bound once: every attempt installs the same three callbacks,
+        # and a zombie keeps them for hold_time.
+        self._established_cb = self._on_established
+        self._resolved_cb = self._on_resolved
+        self._failed_cb = self._on_failed
         self._process = PeriodicProcess(host.engine, self._fire,
                                         rate=config.rate)
         # A single periodic sweep replaces per-connection reap timers —
@@ -172,41 +185,37 @@ class ConnectionFlooder:
             connection.abort()
         self._zombies.clear()
 
-    @property
-    def _pending(self) -> int:
-        return len(self._slot_holders)
-
     def _fire(self) -> None:
-        if self._pending >= self.config.max_pending:
+        config = self.config
+        if len(self._slot_holders) >= config.max_pending:
             # All of the tool's sockets are blocked mid-handshake (solving
             # or waiting out the tool timeout) — the measured attack rate
             # falls below the configured one (Figures 13a/14a).
             self.stats.pool_stalled += 1
             return
-        record = (self.tracker.open(self.config.label)
-                  if self.tracker is not None else None)
-        kwargs = dict(supports_puzzles=self.config.solve,
-                      solve_puzzles=self.config.solve,
-                      syn_retries=0)  # flood tools fire and forget
-        if self.config.solver is not None:
-            kwargs["solver"] = self.config.solver
-        conn_config = ClientConnConfig(**kwargs)
-        connection = self.host.tcp.connect(
-            self.config.server_ip, self.config.server_port, conn_config)
+        try:
+            connection = self.host.tcp.connect(
+                config.server_ip, config.server_port, self._conn_config)
+        except PortsExhaustedError:
+            # Every ephemeral port toward the server is held by a zombie:
+            # the tool's connect() fails (EADDRNOTAVAIL) and no attempt
+            # is made until the sweep frees some.
+            self.stats.pool_stalled += 1
+            return
+        if self.tracker is not None:
+            connection.record = self.tracker.open(config.label)
         self.stats.attempts += 1
         self.stats.syns_sent += 1
         self._slot_holders.add(connection)
         self._zombies[connection] = self.host.engine.now
-        connection.on_established = lambda conn: self._on_established(
-            conn, record)
-        connection.on_reset = self._on_resolved
-        connection.on_failed = self._on_failed
+        connection.on_established = self._established_cb
+        connection.on_reset = self._resolved_cb
+        connection.on_failed = self._failed_cb
 
-    def _on_established(self, connection: ClientConnection,
-                        record) -> None:
-        if record is not None and self.tracker is not None:
+    def _on_established(self, connection: ClientConnection) -> None:
+        if connection.record is not None:
             self.tracker.established(
-                record, challenged=connection.was_challenged)
+                connection.record, challenged=connection.was_challenged)
         self._slot_holders.discard(connection)
         # Go silent: never send data, keep the server-side slot occupied
         # (§6's nping flood); the tool's own socket slot is free again.

@@ -58,6 +58,8 @@ class BenignClient:
         self.config = config
         self.tracker = tracker
         self.deferred = 0  # requests skipped because the CPU was saturated
+        # One handshake config for every request this machine makes.
+        self._conn_config = config.conn_config()
         self._process = PoissonProcess(
             host.engine, self._new_request, rate=config.request_rate,
             rng=host.rng)
@@ -79,7 +81,7 @@ class BenignClient:
                   if self.tracker is not None else None)
         connection = self.host.tcp.connect(
             self.config.server_ip, self.config.server_port,
-            self.config.conn_config())
+            self._conn_config)
         _Request(self, connection, record)
 
 

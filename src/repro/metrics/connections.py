@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.metrics.series import BinnedSeries
 from repro.obs import hub_for
+from repro.obs.hist import Histogram
 from repro.sim.engine import Engine
 
 
@@ -156,6 +157,9 @@ class ConnectionTracker(ConnectionLog):
         super().__init__(bin_width)
         self.engine = engine
         self._hist = hub_for(engine).hist
+        # Each label's handshake-latency histogram, resolved from the
+        # registry on the label's first establishment.
+        self._latency: Dict[str, Histogram] = {}
 
     def _add(self, table: Dict[str, BinnedSeries], label: str,
              t: float) -> None:
@@ -176,12 +180,15 @@ class ConnectionTracker(ConnectionLog):
 
     def established(self, record: ConnectionRecord,
                     challenged: bool = False) -> None:
-        record.t_established = self.engine.now
+        now = record.t_established = self.engine.now
         record.challenged = challenged
-        self._add(self.established_series, record.label,
-                  record.t_established)
-        self._hist.record(f"handshake_latency.{record.label}",
-                          record.t_established - record.t_open)
+        label = record.label
+        self._add(self.established_series, label, now)
+        latency = self._latency.get(label)
+        if latency is None:
+            latency = self._hist.hist(f"handshake_latency.{label}")
+            self._latency[label] = latency
+        latency.record(now - record.t_open)
 
     def completed(self, record: ConnectionRecord) -> None:
         record.t_completed = self.engine.now

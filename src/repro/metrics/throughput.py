@@ -13,11 +13,15 @@ from typing import Tuple
 import numpy as np
 
 from repro.metrics.series import BinnedSeries
-from repro.net.pcap import CaptureRecord
 
 
 class HostThroughput:
-    """Subscribe to a :class:`~repro.net.pcap.PacketCapture` for one host."""
+    """Per-host byte counters, binned in time.
+
+    ``Network.add_throughput_tap`` fills them inside the network (the
+    way every scenario installs one); :meth:`tap` is the same accounting
+    as a generic ``Network.add_tap`` observer.
+    """
 
     def __init__(self, address: int, bin_width: float = 1.0) -> None:
         self.address = address
@@ -27,29 +31,16 @@ class HostThroughput:
         self.tx_goodput = BinnedSeries(bin_width)
 
     def tap(self, time: float, packet, event: str) -> None:
-        """Fast-path network tap (register via ``Network.add_tap``)."""
+        """Network tap (register via ``Network.add_tap``)."""
         if event == "deliver":
             if packet.dst_ip == self.address:
-                self.on_rx(time, packet)
+                self.rx.add(time, packet.size_bytes)
+                if packet.payload_bytes:
+                    self.rx_goodput.add(time, packet.payload_bytes)
         elif event == "send" and packet.src_ip == self.address:
-            self.on_tx(time, packet)
-
-    def on_rx(self, time: float, packet) -> None:
-        """A packet was delivered to this host (pre-matched on address —
-        the ``Network.add_throughput_tap`` fast path)."""
-        self.rx.add(time, packet.size_bytes)
-        if packet.payload_bytes:
-            self.rx_goodput.add(time, packet.payload_bytes)
-
-    def on_tx(self, time: float, packet) -> None:
-        """A packet left this host (pre-matched on address)."""
-        self.tx.add(time, packet.size_bytes)
-        if packet.payload_bytes:
-            self.tx_goodput.add(time, packet.payload_bytes)
-
-    def sink(self, record: CaptureRecord) -> None:
-        """CaptureRecord-style entry point (PacketCapture subscription)."""
-        self.tap(record.time, record.packet, record.event)
+            self.tx.add(time, packet.size_bytes)
+            if packet.payload_bytes:
+                self.tx_goodput.add(time, packet.payload_bytes)
 
     @staticmethod
     def to_mbps(times: np.ndarray, byte_rate: np.ndarray

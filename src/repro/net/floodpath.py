@@ -32,13 +32,17 @@ suite in ``tests/sim/`` proves it across the full fig7 matrix).
 
 Contract for flyweight reuse: the fast paths engage only while the
 fabric has no packet-level observers (``Network.packet_fault`` unset, no
-``add_tap`` captures — those may retain packets). Address-indexed
-throughput taps (``add_throughput_tap``) are served: they read only
-``size_bytes``/``payload_bytes`` per call and retain nothing. Both
-``send`` methods check the observer set themselves on every call and
-return False, having touched nothing, when the caller must take the
-materialized per-packet path instead; ``ReplyFastPath.send`` also
-declines a reply to a registered address, which is delivered and read.
+``add_tap`` captures — those may retain packets). Host throughput
+accounting is not an observer: ``Network.add_throughput_tap`` registers
+a meter's series by address, and each path adds its packet's size to
+them with the same arithmetic as ``Network.send``/``_deliver`` (a
+flooded SYN or SYN-ACK carries no payload, so the goodput series are
+left alone). Both ``send`` methods check the observer set themselves on
+every call and return False, having touched nothing, when the caller
+must take the materialized per-packet path instead; ``SynFastPath.send``
+also declines a spoofed source that happens to carry a meter, and
+``ReplyFastPath.send`` a reply to a registered address, which is
+delivered and read.
 
 ``REPRO_FABRIC=packet`` disables both classes (see
 :mod:`repro.net.fabric`), which is how the differential suite runs the
@@ -49,11 +53,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.metrics.throughput import HostThroughput
 from repro.net.fabric import fold_links
-from repro.net.packet import (FLAG_SYN, FLAG_SYNACK, IP_HEADER_BYTES,
-                              MIN_FRAME_BYTES, TCP_HEADER_BYTES, Packet,
-                              mss_options)
+from repro.net.packet import (FLAG_SYN, IP_HEADER_BYTES, MIN_FRAME_BYTES,
+                              TCP_HEADER_BYTES, Packet, mss_options)
 from repro.puzzles.codec import challenge_wire_size
 from repro.tcp.constants import DEFAULT_MSS
 
@@ -88,8 +90,7 @@ class SynFastPath:
 
     __slots__ = ("network", "src", "path", "dst_host", "dst_ip",
                  "dst_port", "stack", "handle_syn", "_mib_values",
-                 "_servers", "_clients", "flyweight", "size", "_rx_key",
-                 "_rx_len", "_rx_adds")
+                 "_servers", "_clients", "flyweight", "size")
 
     def __init__(self, network, src, dst_host, dst_port: int) -> None:
         self.network = network
@@ -103,7 +104,7 @@ class SynFastPath:
         # The stack's demux tables and the host MIB's backing dict are
         # created once in their constructors and never reassigned —
         # caching them turns the per-SYN demux into plain dict probes.
-        self._mib_values = self.stack._mib._values
+        self._mib_values = self.stack._mib_values
         self._servers = self.stack._servers
         self._clients = self.stack._clients
         # One reused SYN packet: per-delivery fields are overwritten in
@@ -113,17 +114,13 @@ class SynFastPath:
             src_ip=0, dst_ip=self.dst_ip, src_port=0, dst_port=dst_port,
             flags=FLAG_SYN, options=mss_options(DEFAULT_MSS))
         self.size = self.flyweight.size_bytes
-        # Rx-tap specialization cache (see _specialize_rx).
-        self._rx_key = None
-        self._rx_len = 0
-        self._rx_adds = None
 
     def send(self, src_ip: int, src_port: int, seq: int) -> bool:
         """Fold and schedule one spoofed SYN; False → the caller must
         take the materialized per-packet path for this send."""
         net = self.network
         if (net.packet_fault is not None or net._taps
-                or net._tx_taps.get(src_ip) is not None
+                or src_ip in net._tx_meters
                 or "send" in self.src.__dict__):
             return False
         now = net.engine.now
@@ -149,46 +146,26 @@ class SynFastPath:
     def _deliver(self, src_ip: int, src_port: int, seq: int,
                  sent_at: float) -> None:
         net = self.network
-        net.packets_delivered += 1
         if (net._taps or "receive" in self.dst_host.__dict__
                 or "receive" in self.stack.__dict__):
             # A capture tap or an instance-level receive override
             # appeared between send and delivery: those may retain or
             # inspect packets, so hand them a real one.
-            packet = self._materialize(src_ip, src_port, seq, sent_at)
-            now = net.engine.now
-            for tap in net._taps:
-                tap(now, packet, "deliver")
-            rx = net._rx_taps.get(self.dst_ip)
-            if rx is not None:
-                for on_rx in rx:
-                    on_rx(now, packet)
-            self.dst_host.receive(packet)
+            net._deliver(self.dst_host,
+                         self._materialize(src_ip, src_port, seq, sent_at))
             return
-        fw = self.flyweight
-        fw.src_ip = src_ip
-        fw.src_port = src_port
-        fw.seq = seq
-        fw.sent_at = sent_at
-        rx = net._rx_taps.get(self.dst_ip)
-        if rx is not None:
+        net.packets_delivered += 1
+        meters = net._rx_meters.get(self.dst_ip)
+        if meters is not None:
+            # Network._deliver's throughput accounting for a bare SYN:
+            # its size, and no payload.
             now = net.engine.now
-            if rx is self._rx_key and len(rx) == self._rx_len:
-                adds = self._rx_adds
-            else:
-                adds = self._specialize_rx(rx)
-            if adds is not None:
-                # All taps are stock HostThroughput: a zero-payload SYN
-                # reduces on_rx to one BinnedSeries accumulation of its
-                # size, inlined here (same arithmetic as ``add``).
-                size = self.size
-                for bins, t0, width, series in adds:
-                    index = int((now - t0) // width)
-                    bins[index] = bins.get(index, 0.0) + size
-                    series.total += size
-            else:
-                for on_rx in rx:
-                    on_rx(now, fw)
+            size = self.size
+            for series, _ in meters:
+                index = int((now - series.t0) // series.bin_width)
+                bins = series._bins
+                bins[index] = bins.get(index, 0.0) + size
+                series.total += size
         # Inlined TCPStack.receive demux for a SYN: same counters, same
         # table probes, with the listener lookup resolved at setup.
         key = (self.dst_port, src_ip, src_port)
@@ -202,48 +179,24 @@ class SynFastPath:
         self.stack.segments_received += 1
         values = self._mib_values
         values["InSegs"] = values.get("InSegs", 0) + 1
+        fw = self.flyweight
+        fw.src_ip = src_ip
+        fw.src_port = src_port
+        fw.seq = seq
+        fw.sent_at = sent_at
         self.handle_syn(fw)
-
-    def _specialize_rx(self, rx):
-        """Re-resolve the rx-tap list (identity/length changed): a list
-        of ``(bins, t0, bin_width, series)`` accumulator tuples when
-        every tap is an unmodified :class:`HostThroughput`, else None →
-        generic ``on_rx`` loop."""
-        adds = []
-        for on_rx in rx:
-            if (type(getattr(on_rx, "__self__", None)) is HostThroughput
-                    and getattr(on_rx, "__func__", None)
-                    is HostThroughput.on_rx):
-                series = on_rx.__self__.rx
-                adds.append((series._bins, series.t0, series.bin_width,
-                             series))
-            else:
-                adds = None
-                break
-        self._rx_key = rx
-        self._rx_len = len(rx)
-        self._rx_adds = adds
-        return adds
 
 
 class ReplyFastPath:
     """Per-host pipeline for replies that will be blackholed."""
 
-    __slots__ = ("network", "host", "path", "src_ip", "flyweight",
-                 "_tx_key", "_tx_len", "_tx_adds")
+    __slots__ = ("network", "host", "path", "src_ip")
 
     def __init__(self, network, host) -> None:
         self.network = network
         self.host = host
         self.path = network._blackhole_path_for(host.name)
         self.src_ip = host.address
-        self.flyweight = Packet(
-            src_ip=host.address, dst_ip=0, src_port=0, dst_port=0,
-            flags=FLAG_SYNACK)
-        # Tx-tap specialization cache (mirror of SynFastPath's rx one).
-        self._tx_key = None
-        self._tx_len = 0
-        self._tx_adds = None
 
     def send(self, size: int, dst_ip: int, dst_port: int) -> bool:
         """Account one *size*-byte reply toward the uplink blackhole —
@@ -259,25 +212,15 @@ class ReplyFastPath:
                 or "send" in self.host.__dict__):
             return False
         now = net.engine.now
-        tx = net._tx_taps.get(self.src_ip)
-        if tx is not None:
-            if tx is self._tx_key and len(tx) == self._tx_len:
-                adds = self._tx_adds
-            else:
-                adds = self._specialize_tx(tx)
-            if adds is not None:
-                for bins, t0, width, series in adds:
-                    index = int((now - t0) // width)
-                    bins[index] = bins.get(index, 0.0) + size
-                    series.total += size
-            else:
-                fw = self.flyweight
-                fw.sent_at = now
-                fw.size_bytes = size
-                fw.dst_ip = dst_ip
-                fw.dst_port = dst_port
-                for on_tx in tx:
-                    on_tx(now, fw)
+        meters = net._tx_meters.get(self.src_ip)
+        if meters is not None:
+            # Network.send's throughput accounting for a bare SYN-ACK:
+            # its size, and no payload.
+            for series, _ in meters:
+                index = int((now - series.t0) // series.bin_width)
+                bins = series._bins
+                bins[index] = bins.get(index, 0.0) + size
+                series.total += size
         arrival = self.path.fold(now, size)
         if arrival is NotImplemented:
             arrival = fold_links(self.path.links, now, size)
@@ -287,20 +230,3 @@ class ReplyFastPath:
         else:
             net.packets_blackholed += 1
         return True
-
-    def _specialize_tx(self, tx):
-        adds = []
-        for on_tx in tx:
-            if (type(getattr(on_tx, "__self__", None)) is HostThroughput
-                    and getattr(on_tx, "__func__", None)
-                    is HostThroughput.on_tx):
-                series = on_tx.__self__.tx
-                adds.append((series._bins, series.t0, series.bin_width,
-                             series))
-            else:
-                adds = None
-                break
-        self._tx_key = tx
-        self._tx_len = len(tx)
-        self._tx_adds = adds
-        return adds

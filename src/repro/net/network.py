@@ -58,9 +58,10 @@ class Network:
         # by host *names* so they survive re-registration in tests.
         self._paths: Dict[tuple, FabricPath] = {}
         self._blackhole_paths: Dict[str, FabricPath] = {}
-        # Address-indexed throughput accounting (see add_throughput_tap).
-        self._tx_taps: Dict[int, list] = {}
-        self._rx_taps: Dict[int, list] = {}
+        # Host throughput accounting (see add_throughput_tap): per
+        # address, the (bytes, goodput) BinnedSeries pairs to add to.
+        self._tx_meters: Dict[int, list] = {}
+        self._rx_meters: Dict[int, list] = {}
         #: Optional fault-injection hook called as ``(now, packet)`` on
         #: every send before path folding. Unlike taps (pure observers)
         #: it may mutate the packet's *options* in place — the bit-flip
@@ -92,19 +93,23 @@ class Network:
         self._taps.append(tap)
 
     def add_throughput_tap(self, throughput) -> None:
-        """Install a :class:`~repro.metrics.throughput.HostThroughput`
-        on its host's address.
+        """Account a :class:`~repro.metrics.throughput.HostThroughput`'s
+        host traffic in the network itself.
 
-        Equivalent to ``add_tap(throughput.tap)`` but dispatched through
-        an address-indexed table: packets for other hosts cost one dict
-        miss instead of a Python call per tap per fabric event — the
-        difference is measurable at flood rates with several hosts
-        instrumented.
+        Equivalent to ``add_tap(throughput.tap)``: the meter's four
+        :class:`~repro.metrics.series.BinnedSeries` are registered by its
+        address, and every packet the host sends (``tx``) or is
+        delivered (``rx``) adds its ``size_bytes``, and its
+        ``payload_bytes`` when non-zero (``tx_goodput``/``rx_goodput``),
+        with ``BinnedSeries.add``'s arithmetic written out where the
+        packet is handled — here and in :mod:`repro.net.floodpath`'s
+        fast paths — so no Python call runs per packet and the fast
+        paths stay engaged.
         """
-        self._tx_taps.setdefault(throughput.address, []).append(
-            throughput.on_tx)
-        self._rx_taps.setdefault(throughput.address, []).append(
-            throughput.on_rx)
+        self._tx_meters.setdefault(throughput.address, []).append(
+            (throughput.tx, throughput.tx_goodput))
+        self._rx_meters.setdefault(throughput.address, []).append(
+            (throughput.rx, throughput.rx_goodput))
 
     # ------------------------------------------------------------------
     # Path caches
@@ -149,12 +154,21 @@ class Network:
         if taps:
             for tap in taps:
                 tap(now, packet, "send")
-        tx = self._tx_taps.get(packet.src_ip)
-        if tx is not None:
-            for on_tx in tx:
-                on_tx(now, packet)
-
         size = packet.size_bytes
+        meters = self._tx_meters.get(packet.src_ip)
+        if meters is not None:
+            payload = packet.payload_bytes
+            for series, goodput in meters:
+                index = int((now - series.t0) // series.bin_width)
+                bins = series._bins
+                bins[index] = bins.get(index, 0.0) + size
+                series.total += size
+                if payload:
+                    index = int((now - goodput.t0) // goodput.bin_width)
+                    bins = goodput._bins
+                    bins[index] = bins.get(index, 0.0) + payload
+                    goodput.total += payload
+
         dst_host = self._hosts_by_ip.get(packet.dst_ip)
         if dst_host is None:
             # Replies to spoofed sources: consume the sender's uplink,
@@ -207,11 +221,21 @@ class Network:
             now = self.engine.now
             for tap in taps:
                 tap(now, packet, "deliver")
-        rx = self._rx_taps.get(packet.dst_ip)
-        if rx is not None:
+        meters = self._rx_meters.get(packet.dst_ip)
+        if meters is not None:
             now = self.engine.now
-            for on_rx in rx:
-                on_rx(now, packet)
+            size = packet.size_bytes
+            payload = packet.payload_bytes
+            for series, goodput in meters:
+                index = int((now - series.t0) // series.bin_width)
+                bins = series._bins
+                bins[index] = bins.get(index, 0.0) + size
+                series.total += size
+                if payload:
+                    index = int((now - goodput.t0) // goodput.bin_width)
+                    bins = goodput._bins
+                    bins[index] = bins.get(index, 0.0) + payload
+                    goodput.total += payload
         host.receive(packet)
 
     # ------------------------------------------------------------------

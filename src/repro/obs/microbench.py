@@ -38,7 +38,10 @@ The built-in suite covers the hot paths the optimization PRs will touch:
 * ``hist_record`` — histogram record + quantile read throughput;
 * ``sketch_update`` — per-source attribution sketches fed a spoofed
   /32 SYN stream and a skewed /16 stream (Space-Saving eviction order
-  is pinned by the snapshot checksum).
+  is pinned by the snapshot checksum);
+* ``client_handshake`` — connect attempts through the full client and
+  server stacks on a two-host network, each answered with a SYN cookie
+  and installed in the accept queue (the connection flood's path).
 """
 
 from __future__ import annotations
@@ -532,6 +535,63 @@ def _bench_sketch_update(iterations: int) -> Dict[str, int]:
     counters["snapshot_checksum"] = int.from_bytes(digest.digest()[:6],
                                                    "big")
     return counters
+
+
+@register("client_handshake",
+          "connect attempts from one host against a SYN-cookie listener "
+          "on a two-host network: SYN, cookie SYN-ACK, ACK, accept-queue "
+          "install",
+          default_iterations=10_000)
+def _bench_client_handshake(iterations: int) -> Dict[str, int]:
+    from repro.hosts.cpu import CPU_CATALOG, SERVER_CPU
+    from repro.hosts.host import Host
+    from repro.metrics.throughput import HostThroughput
+    from repro.net.addresses import AddressAllocator
+    from repro.net.network import Network
+    from repro.net.packet import FLAG_SYN, Packet, mss_options
+    from repro.net.topology import deter_topology
+    from repro.sim.engine import Engine
+    from repro.tcp.connection import ClientConnConfig
+    from repro.tcp.constants import DEFAULT_MSS, DefenseMode
+    from repro.tcp.listener import DefenseConfig
+
+    engine = Engine()
+    network = Network(engine, deter_topology(1, 0))
+    allocator = AddressAllocator()
+    server = Host("server", allocator.allocate(), engine, network,
+                  SERVER_CPU, random.Random(1))
+    client = Host("client0", allocator.allocate(), engine, network,
+                  next(iter(CPU_CATALOG.values())), random.Random(2))
+    # Throughput meters on both ends, as every scenario installs them.
+    for host in (server, client):
+        network.add_throughput_tap(HostThroughput(host.address))
+    listener = server.tcp.listen(80, DefenseConfig(
+        mode=DefenseMode.SYNCOOKIES, backlog=1,
+        accept_backlog=iterations + 1))
+    # A spoofed half-open holds the one listen slot, so every attempt is
+    # answered with a cookie (the connection flood's cookie path).
+    listener.handle_syn(Packet(
+        src_ip=0xC6336401, dst_ip=server.address, src_port=40000,
+        dst_port=80, seq=1, flags=FLAG_SYN,
+        options=mss_options(DEFAULT_MSS)))
+    config = ClientConnConfig(syn_retries=0)
+    connect, schedule = client.tcp.connect, engine.schedule
+
+    def attempt(remaining: int) -> None:
+        connection = connect(server.address, 80, config)
+        # The client side lets go once established, freeing its port.
+        connection.on_established = lambda conn: conn.abort()
+        if remaining > 1:
+            schedule(1e-4, attempt, remaining - 1)
+
+    attempt(iterations)
+    engine.run()
+    return {
+        "attempts": iterations,
+        "established": listener.stats.established_total(),
+        "packets_delivered": network.packets_delivered,
+        "events_processed": engine.events_processed,
+    }
 
 
 def self_check(result: MicroResult) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.net.packet import (FLAG_ACK, FLAG_PSHACK, FLAG_RST,
-                              FLAG_SYN, Packet, TCPOptions)
+                              FLAG_SYN, FLAG_SYNACK, Packet, TCPOptions)
 from repro.puzzles.juels import Challenge, ModeledSolver, Solution
 from repro.tcp.constants import (
     DEFAULT_MSS,
@@ -29,6 +29,15 @@ from repro.tcp.tcb import EstablishPath, TCBState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tcp.stack import TCPStack
+
+# The states every segment and transition tests, as module globals: on
+# CPython 3.11 reading a member off the Enum class goes through its
+# metaclass and costs about as much as a call frame.
+_SYN_SENT = TCBState.SYN_SENT
+_SOLVING = TCBState.SOLVING
+_ESTABLISHED = TCBState.ESTABLISHED
+_CLOSED = TCBState.CLOSED
+_RESET = TCBState.RESET
 
 
 @dataclass
@@ -58,6 +67,13 @@ class ClientConnConfig:
 class ClientConnection:
     """Active-open endpoint: SYN → (solve?) → ACK → ESTABLISHED → data."""
 
+    __slots__ = ("stack", "host", "local_port", "remote_ip", "remote_port",
+                 "config", "state", "isn", "remote_isn", "started_at",
+                 "established_at", "was_challenged", "solve_attempts",
+                 "_solve_started", "_syn_timer", "_syn_sent",
+                 "on_established", "on_data", "on_reset", "on_failed",
+                 "record")
+
     def __init__(self, stack: "TCPStack", local_port: int, remote_ip: int,
                  remote_port: int, config: ClientConnConfig) -> None:
         self.stack = stack
@@ -66,7 +82,7 @@ class ClientConnection:
         self.remote_ip = remote_ip
         self.remote_port = remote_port
         self.config = config
-        self.state = TCBState.CLOSED
+        self.state = _CLOSED
         self.isn = stack.new_isn()
         self.remote_isn: Optional[int] = None
         self.started_at: Optional[float] = None
@@ -83,48 +99,46 @@ class ClientConnection:
         self.on_reset: Optional[Callable[["ClientConnection"], None]] = None
         self.on_failed: Optional[Callable[["ClientConnection", str],
                                           None]] = None
+        #: The opener's tracker record for this attempt, if it keeps one
+        #: (:class:`~repro.metrics.connections.ConnectionRecord`).
+        self.record = None
 
     # ------------------------------------------------------------------
     # Active open
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self.state = TCBState.SYN_SENT
+        self.state = _SYN_SENT
         self.started_at = self.host.engine.now
         self._send_syn()
 
-    def _syn_options(self) -> TCPOptions:
-        options = TCPOptions(mss=self.config.mss, wscale=self.config.wscale)
-        if self.config.use_timestamps:
-            options.ts_val = int(self.host.engine.now * 1000) & 0xFFFFFFFF
-        return options
-
     def _send_syn(self) -> None:
-        packet = Packet(src_ip=self.host.address, dst_ip=self.remote_ip,
-                        src_port=self.local_port, dst_port=self.remote_port,
-                        seq=self.isn, flags=FLAG_SYN,
-                        options=self._syn_options())
-        self.host.send(packet)
+        config = self.config
+        host = self.host
+        options = TCPOptions(mss=config.mss, wscale=config.wscale)
+        if config.use_timestamps:
+            options.ts_val = int(host.engine.now * 1000) & 0xFFFFFFFF
+        host.send(Packet(src_ip=host.address, dst_ip=self.remote_ip,
+                         src_port=self.local_port, dst_port=self.remote_port,
+                         seq=self.isn, flags=FLAG_SYN, options=options))
         self._syn_sent += 1
         if self._syn_sent > 1:
-            self.host.mib.incr("SynRetrans")
-        if self._syn_sent <= self.config.syn_retries:
-            timeout = self.config.syn_timeout * (2 ** (self._syn_sent - 1))
-            self._syn_timer = self.host.engine.schedule(
-                timeout, self._syn_timeout)
+            host.mib.incr("SynRetrans")
+        timeout = config.syn_timeout * (2 ** (self._syn_sent - 1))
+        if self._syn_sent <= config.syn_retries:
+            self._syn_timer = host.engine.schedule(timeout,
+                                                   self._syn_timeout)
         else:
-            self._syn_timer = self.host.engine.schedule(
-                self.config.syn_timeout * (2 ** (self._syn_sent - 1)),
-                self._give_up)
+            self._syn_timer = host.engine.schedule(timeout, self._give_up)
 
     def _syn_timeout(self) -> None:
-        if self.state is not TCBState.SYN_SENT:
+        if self.state is not _SYN_SENT:
             return
         self._send_syn()
 
     def _give_up(self) -> None:
-        if self.state is not TCBState.SYN_SENT:
+        if self.state is not _SYN_SENT:
             return
-        self.state = TCBState.CLOSED
+        self.state = _CLOSED
         self.stack.forget(self)
         if self.on_failed is not None:
             self.on_failed(self, "syn-timeout")
@@ -133,32 +147,34 @@ class ClientConnection:
     # Inbound
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:
-        if packet.is_rst:
+        flags = packet.flags
+        if flags & FLAG_RST:
             self._handle_rst()
             return
-        if packet.is_synack:
+        if flags & FLAG_SYNACK == FLAG_SYNACK:
             self._handle_synack(packet)
             return
-        if packet.payload_bytes > 0 and self.state is TCBState.ESTABLISHED:
+        if packet.payload_bytes > 0 and self.state is _ESTABLISHED:
             if self.on_data is not None:
                 self.on_data(self, packet.payload_bytes,
                              getattr(packet, "app_data", None))
 
     def _handle_rst(self) -> None:
-        if self.state in (TCBState.CLOSED, TCBState.RESET):
+        state = self.state
+        if state is _CLOSED or state is _RESET:
             return
         self._cancel_syn_timer()
-        self.state = TCBState.RESET
+        self.state = _RESET
         self.stack.forget(self)
         if self.on_reset is not None:
             self.on_reset(self)
 
     def _handle_synack(self, packet: Packet) -> None:
-        if self.state not in (TCBState.SYN_SENT, TCBState.SOLVING):
-            return  # duplicate SYN-ACK retransmission
+        if self.state is not _SYN_SENT:
+            # A duplicate SYN-ACK retransmission, or another copy while
+            # solving an earlier one.
+            return
         challenge = packet.options.challenge
-        if self.state is TCBState.SOLVING:
-            return  # already working on an earlier copy
         self._cancel_syn_timer()
         self.remote_isn = packet.seq
         if (challenge is not None and self.config.supports_puzzles
@@ -177,12 +193,12 @@ class ClientConnection:
             # The solve queue is already deep enough that this solution
             # would go out stale; drop the attempt instead of queueing.
             self.host.mib.incr("ChallengesAbandoned")
-            self.state = TCBState.CLOSED
+            self.state = _CLOSED
             self.stack.forget(self)
             if self.on_failed is not None:
                 self.on_failed(self, "challenge-abandoned")
             return
-        self.state = TCBState.SOLVING
+        self.state = _SOLVING
         self._solve_started = self.host.engine.now
         solution = self.config.solver.solve(
             challenge, self.host.rng, counter=self.host.hash_counter)
@@ -195,7 +211,8 @@ class ClientConnection:
                           lambda: self._establish(solution=solution))
 
     def _establish(self, solution: Optional[Solution]) -> None:
-        if self.state in (TCBState.CLOSED, TCBState.RESET):
+        state = self.state
+        if state is _CLOSED or state is _RESET:
             return  # aborted while solving
         if solution is not None:
             self.host.mib.incr("PuzzlesSolved")
@@ -216,7 +233,7 @@ class ClientConnection:
         self.host.send(ack_packet)
         # TCP enters ESTABLISHED on sending the ACK — even when the server
         # silently ignores it (the paper's deception mechanism, §5).
-        self.state = TCBState.ESTABLISHED
+        self.state = _ESTABLISHED
         self.established_at = self.host.engine.now
         if self.on_established is not None:
             self.on_established(self)
@@ -225,7 +242,7 @@ class ClientConnection:
     # Data and teardown
     # ------------------------------------------------------------------
     def send_data(self, payload_bytes: int, app_data: object = None) -> None:
-        if self.state is not TCBState.ESTABLISHED:
+        if self.state is not _ESTABLISHED:
             return
         packet = Packet(src_ip=self.host.address, dst_ip=self.remote_ip,
                         src_port=self.local_port, dst_port=self.remote_port,
@@ -238,7 +255,7 @@ class ClientConnection:
     def abort(self) -> None:
         """Local teardown without notifying anyone (attacker hygiene)."""
         self._cancel_syn_timer()
-        self.state = TCBState.CLOSED
+        self.state = _CLOSED
         self.stack.forget(self)
 
     def _cancel_syn_timer(self) -> None:
@@ -257,6 +274,10 @@ class ClientConnection:
 class ServerConnection:
     """Passive-open endpoint created when a handshake completes."""
 
+    __slots__ = ("stack", "host", "local_port", "remote_ip", "remote_port",
+                 "path", "mss", "wscale", "state", "established_at",
+                 "_pending", "on_data")
+
     def __init__(self, stack: "TCPStack", local_port: int, remote_ip: int,
                  remote_port: int, path: EstablishPath, mss: int,
                  wscale: Optional[int]) -> None:
@@ -268,7 +289,7 @@ class ServerConnection:
         self.path = path
         self.mss = mss
         self.wscale = wscale
-        self.state = TCBState.ESTABLISHED
+        self.state = _ESTABLISHED
         self.established_at = stack.host.engine.now
         self._pending: list = []  # buffered (payload_bytes, app_data)
         self.on_data: Optional[Callable[["ServerConnection", int, object],
@@ -279,8 +300,8 @@ class ServerConnection:
         return (self.remote_ip, self.remote_port, self.local_port)
 
     def handle(self, packet: Packet) -> None:
-        if packet.is_rst:
-            self.state = TCBState.RESET
+        if packet.flags & FLAG_RST:
+            self.state = _RESET
             self.stack.forget_server(self)
             return
         if packet.payload_bytes > 0:
@@ -299,7 +320,7 @@ class ServerConnection:
             on_data(self, payload_bytes, app_data)
 
     def send_data(self, payload_bytes: int, app_data: object = None) -> None:
-        if self.state is not TCBState.ESTABLISHED:
+        if self.state is not _ESTABLISHED:
             return
         # Aggregate the response into one burst packet; extra_frames keeps
         # the per-MSS-segment header overhead in the byte accounting.
@@ -315,9 +336,9 @@ class ServerConnection:
     def close(self, reset: bool = False) -> None:
         """Tear down; with *reset*, notify the peer with an RST (how the
         app sheds idle/undead connections)."""
-        if self.state is TCBState.CLOSED:
+        if self.state is _CLOSED:
             return
-        self.state = TCBState.CLOSED
+        self.state = _CLOSED
         self.stack.forget_server(self)
         if reset:
             packet = Packet(src_ip=self.host.address, dst_ip=self.remote_ip,

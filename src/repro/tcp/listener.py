@@ -50,12 +50,18 @@ from repro.tcp.tcb import EstablishPath, HalfOpenTCB
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tcp.stack import TCPStack
 
-# The defense modes handle_syn and protection_active test on every SYN,
-# as module globals: on CPython 3.11 reading a member off the Enum class
-# goes through its metaclass and costs about as much as a call frame.
+# The defense modes and establishment paths tested on every SYN and every
+# completing ACK, as module globals: on CPython 3.11 reading a member off
+# the Enum class goes through its metaclass and costs about as much as a
+# call frame.
 _NO_DEFENSE = DefenseMode.NONE
 _PUZZLES = DefenseMode.PUZZLES
 _SYNCACHE = DefenseMode.SYNCACHE
+_SYNCOOKIES = DefenseMode.SYNCOOKIES
+_VIA_NORMAL = EstablishPath.NORMAL
+_VIA_COOKIE = EstablishPath.COOKIE
+_VIA_PUZZLE = EstablishPath.PUZZLE
+_VIA_SYNCACHE = EstablishPath.SYNCACHE
 
 
 @dataclass
@@ -281,7 +287,7 @@ class ListenSocket:
         """
         if self.protection_active:
             return True
-        if self.config.mode is not DefenseMode.PUZZLES:
+        if self.config.mode is not _PUZZLES:
             return False
         return self.host.engine.now < self._attack_until
 
@@ -575,9 +581,10 @@ class ListenSocket:
                         solution=packet.options.solution is not None,
                         payload=packet.payload_bytes)
 
+        mode = self.config.mode
         tcb = self.listen_queue.get(flow)
         if tcb is not None:
-            if (self.config.mode is DefenseMode.PUZZLES
+            if (mode is _PUZZLES
                     and self.under_attack
                     and packet.options.solution is None):
                 # Under attack, unverified completions are ignored; the
@@ -591,15 +598,14 @@ class ListenSocket:
                 return True
             return self._complete_stock(tcb)
 
-        if packet.options.solution is not None and \
-                self.config.mode is DefenseMode.PUZZLES:
+        if packet.options.solution is not None and mode is _PUZZLES:
             return self._complete_puzzle(packet)
 
-        if self.config.mode is DefenseMode.SYNCACHE:
+        if mode is _SYNCACHE:
             entry = self.config.syncache.complete(flow)
             if entry is not None:
                 return self._install_tcb(packet.src_ip, packet.src_port,
-                                         EstablishPath.SYNCACHE, entry.mss,
+                                         _VIA_SYNCACHE, entry.mss,
                                          entry.wscale)
             # Fallback rung armed: this ACK may answer a cookie the
             # overloaded cache served instead of a record. Validate
@@ -613,7 +619,7 @@ class ListenSocket:
             self._trace("reject", flow, reason="syncache-miss")
             return False
 
-        if self.config.mode is DefenseMode.SYNCOOKIES:
+        if mode is _SYNCOOKIES:
             if self._complete_cookie(packet):
                 return True
             self.stats.cookies_invalid += 1
@@ -623,8 +629,8 @@ class ListenSocket:
             self._trace("reject", flow, reason="bad-cookie")
             return False
 
-        if self.config.mode is DefenseMode.PUZZLES \
-                and packet.payload_bytes == 0 and self.under_attack:
+        if (mode is _PUZZLES and packet.payload_bytes == 0
+                and self.under_attack):
             # Pure plain ACK while puzzles are demanded — e.g. an
             # unpatched host answering a challenge. Silently ignored: the
             # host believes it connected; data it sends later carries a
@@ -649,7 +655,7 @@ class ListenSocket:
             return True
         self.listen_queue.complete(tcb.flow)
         self._install_tcb(tcb.remote_ip, tcb.remote_port,
-                          EstablishPath.NORMAL, tcb.mss, tcb.wscale)
+                          _VIA_NORMAL, tcb.mss, tcb.wscale)
         return True
 
     def _complete_puzzle(self, packet: Packet) -> bool:
@@ -712,7 +718,7 @@ class ListenSocket:
             return True  # silently dropped, no RST: stateless server
         self._mib_incr("PuzzlesVerified")
         return self._install_tcb(packet.src_ip, packet.src_port,
-                                 EstablishPath.PUZZLE, solution.mss,
+                                 _VIA_PUZZLE, solution.mss,
                                  solution.wscale)
 
     def _complete_cookie(self, packet: Packet) -> bool:
@@ -726,10 +732,11 @@ class ListenSocket:
             (packet.seq - 1) & 0xFFFFFFFF)
         if state is None:
             return False
-        self._mib_incr("SynCookiesRecv")
+        values = self._mib_values
+        values["SynCookiesRecv"] = values.get("SynCookiesRecv", 0) + 1
         if self.accept_queue.full:
             self.stats.accept_drops_full += 1
-            self._mib_incr("AcceptOverflows")
+            values["AcceptOverflows"] = values.get("AcceptOverflows", 0) + 1
             if self.attribution is not None:
                 self.attribution.on_drop(packet.src_ip, "AcceptOverflows")
             self._trace("ignore",
@@ -737,7 +744,7 @@ class ListenSocket:
                         reason="accept-overflow")
             return True
         return self._install_tcb(packet.src_ip, packet.src_port,
-                                 EstablishPath.COOKIE, state.mss,
+                                 _VIA_COOKIE, state.mss,
                                  state.wscale)
 
     def _install_tcb(self, remote_ip: int, remote_port: int,
@@ -754,19 +761,23 @@ class ListenSocket:
             self._trace("ignore", flow, reason="accept-overflow")
             return True
         self.stack.register_server(connection)
-        if path is EstablishPath.NORMAL:
+        values = self._mib_values
+        if path is _VIA_NORMAL:
             self.stats.established_normal += 1
-            self._mib_incr("EstabNormal")
-        elif path is EstablishPath.COOKIE:
+            values["EstabNormal"] = values.get("EstabNormal", 0) + 1
+        elif path is _VIA_COOKIE:
             self.stats.established_cookie += 1
-            self._mib_incr("EstabCookie")
-        elif path is EstablishPath.PUZZLE:
+            values["EstabCookie"] = values.get("EstabCookie", 0) + 1
+        elif path is _VIA_PUZZLE:
             self.stats.established_puzzle += 1
-            self._mib_incr("EstabPuzzle")
+            values["EstabPuzzle"] = values.get("EstabPuzzle", 0) + 1
         else:
             self.stats.established_syncache += 1
-            self._mib_incr("EstabSynCache")
-        self._trace("accept", flow, path=path.value)
+            values["EstabSynCache"] = values.get("EstabSynCache", 0) + 1
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.emit(self.host.engine.now, self.host.name, "accept",
+                        flow, path=path.value)
         if self.config.fairness is not None:
             self.config.fairness.record_established(
                 remote_ip, self.host.engine.now)

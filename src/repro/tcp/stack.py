@@ -14,12 +14,13 @@ out, on first data, that it never really connected.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol, Tuple
-
 import random
+from bisect import bisect_left, insort
+from typing import Dict, List, Optional, Protocol, Tuple
 
-from repro.errors import NetworkError
-from repro.net.packet import FLAG_RST, Packet
+from repro.errors import NetworkError, PortsExhaustedError
+from repro.net.packet import FLAG_ACK, FLAG_RST, FLAG_SYN, FLAG_SYNACK, \
+    Packet
 from repro.tcp.connection import ClientConnConfig, ClientConnection, \
     ServerConnection
 from repro.tcp.listener import DefenseConfig, ListenSocket
@@ -54,9 +55,17 @@ class TCPStack:
         self._clients: Dict[Key, ClientConnection] = {}
         self._servers: Dict[Key, ServerConnection] = {}
         self._next_ephemeral = EPHEMERAL_BASE
+        # The (remote_ip, remote_port) whose ports the last failed
+        # allocation found all taken, and the ports toward it freed since
+        # (sorted): while a flood holds every port, allocation picks from
+        # those instead of rescanning the whole range per attempt.
+        self._exhausted_toward: Optional[Tuple[int, int]] = None
+        self._freed_ports: List[int] = []
         self.rsts_sent = 0
         self.segments_received = 0
-        self._mib = host.mib
+        # The host MIB's backing dict: the stack counts with plain dict
+        # updates (the listener's idiom), a call cheaper per segment.
+        self._mib_values = host.mib._values
 
     # ------------------------------------------------------------------
     # Socket creation
@@ -82,6 +91,18 @@ class TCPStack:
         return connection
 
     def _allocate_port(self, remote_ip: int, remote_port: int) -> int:
+        if self._exhausted_toward == (remote_ip, remote_port):
+            # Only the freed ports are free: the scan below would stop at
+            # the first of them at or after the cursor, wrapping around.
+            freed = self._freed_ports
+            if not freed:
+                raise PortsExhaustedError("ephemeral port space exhausted")
+            index = bisect_left(freed, self._next_ephemeral)
+            port = freed.pop(index if index < len(freed) else 0)
+            self._next_ephemeral = port + 1
+            if self._next_ephemeral >= EPHEMERAL_BASE + EPHEMERAL_SPAN:
+                self._next_ephemeral = EPHEMERAL_BASE
+            return port
         for _ in range(EPHEMERAL_SPAN):
             port = self._next_ephemeral
             self._next_ephemeral += 1
@@ -89,7 +110,10 @@ class TCPStack:
                 self._next_ephemeral = EPHEMERAL_BASE
             if (port, remote_ip, remote_port) not in self._clients:
                 return port
-        raise NetworkError("ephemeral port space exhausted")
+        # A full lap, so the cursor is back where it started.
+        self._exhausted_toward = (remote_ip, remote_port)
+        self._freed_ports = []
+        raise PortsExhaustedError("ephemeral port space exhausted")
 
     def new_isn(self) -> int:
         return self.host.rng.getrandbits(32)
@@ -100,7 +124,9 @@ class TCPStack:
     def forget(self, connection: ClientConnection) -> None:
         key = (connection.local_port, connection.remote_ip,
                connection.remote_port)
-        self._clients.pop(key, None)
+        if (self._clients.pop(key, None) is not None
+                and self._exhausted_toward == key[1:]):
+            insort(self._freed_ports, connection.local_port)
 
     def register_server(self, connection: ServerConnection) -> None:
         key = (connection.local_port, connection.remote_ip,
@@ -124,7 +150,8 @@ class TCPStack:
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
         self.segments_received += 1
-        self._mib.incr("InSegs")
+        values = self._mib_values
+        values["InSegs"] = values.get("InSegs", 0) + 1
         key = (packet.dst_port, packet.src_ip, packet.src_port)
 
         server = self._servers.get(key)
@@ -137,21 +164,25 @@ class TCPStack:
             client.handle(packet)
             return
 
+        # Flags are tested as ints: the Packet predicates are properties,
+        # a call frame each.
+        flags = packet.flags
         listener = self._listeners.get(packet.dst_port)
         if listener is not None:
-            if packet.is_syn:
+            if flags & FLAG_SYNACK == FLAG_SYN:
                 listener.handle_syn(packet)
                 return
-            if packet.has_ack and not packet.is_rst:
+            if flags & FLAG_ACK and not flags & FLAG_RST:
                 if listener.handle_ack(packet):
                     return
         # RFC 793 catch-all: no matching state -> RST (never RST an RST).
-        if not packet.is_rst:
+        if not flags & FLAG_RST:
             self._send_rst(packet)
 
     def _send_rst(self, packet: Packet) -> None:
         self.rsts_sent += 1
-        self._mib.incr("OutRsts")
+        values = self._mib_values
+        values["OutRsts"] = values.get("OutRsts", 0) + 1
         rst = Packet(src_ip=self.host.address, dst_ip=packet.src_ip,
                      src_port=packet.dst_port, dst_port=packet.src_port,
                      seq=packet.ack, ack=packet.seq + 1,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
+from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.hosts.attacker import (
     AttackerConfig,
     ConnectionFlooder,
@@ -14,6 +15,7 @@ from repro.metrics.connections import ConnectionTracker
 from repro.puzzles.params import PuzzleParams
 from repro.tcp.constants import DefenseMode
 from repro.tcp.listener import DefenseConfig
+from repro.tcp.stack import EPHEMERAL_SPAN
 from tests.conftest import MiniNet
 
 
@@ -119,6 +121,23 @@ class TestConnectionFlooder:
         assert len(flooder._zombies) < 100 * 1.5
         flooder.stop()
         assert len(flooder._zombies) == 0
+
+    def test_flood_faster_than_the_port_space_stalls_instead_of_crashing(
+            self):
+        """Against cookies every handshake completes, and a bot holds its
+        zombies for hold_time (30 s) with 28,232 ephemeral ports: above
+        ~940 attempts/s it runs out. An attempt that gets no port is not
+        made (connect() fails with EADDRNOTAVAIL) and is counted as a
+        stall, and only attempts actually made get a tracker record."""
+        result = Scenario(ScenarioConfig(
+            time_scale=0.05, seed=1, defense=DefenseMode.SYNCOOKIES,
+            attack_style="connect", attack_rate=2500.0, n_attackers=1,
+            n_clients=1)).run()
+        stats = result.botnet.bots[0].stats
+        assert stats.pool_stalled > 0
+        assert stats.attempts >= EPHEMERAL_SPAN
+        assert result.tracker.counts("attacker")["attempts"] \
+            == stats.attempts
 
 
 class TestBotnet:

@@ -300,6 +300,9 @@ elif label == "challenges-m17-fair":
     summary = FloodExperiment(
         defense="challenges-m17", attack_style="syn",
         base=replace(base, fairness=FairnessConfig())).summary()
+elif label == "cookies-connect":
+    summary = FloodExperiment(defense="cookies", attack_style="connect",
+                              base=base).summary()
 else:
     summary = FloodExperiment(defense=label, attack_style="syn",
                               base=base).summary()
@@ -331,11 +334,13 @@ print(stats.jobs, hashlib.sha256(jsonl.encode()).hexdigest())
 """
 
 #: The fig7 cells plus one overload-ladder cell (admission control,
-#: budgeted syncache, cookie fallback, watchdog) and one fairness-priced
+#: budgeted syncache, cookie fallback, watchdog), one fairness-priced
 #: puzzle cell (per-source params, so the challenge's size changes from
-#: SYN to SYN).
+#: SYN to SYN) and the fig8 cookies cell, whose bots complete their
+#: handshakes (the connect path, cookie decode, accept queue and app
+#: server run only there).
 _FIG7_LABELS = ("nodefense", "cookies", "challenges-m8", "challenges-m17",
-                "overload-oldest", "challenges-m17-fair")
+                "overload-oldest", "challenges-m17-fair", "cookies-connect")
 
 
 def _run_probe(script, arg, env_extra):
@@ -350,10 +355,10 @@ def _run_probe(script, arg, env_extra):
 @pytest.mark.parametrize("label", _FIG7_LABELS)
 def test_fig7_cells_identical_across_fabric_and_engine(label):
     """The batched flood fast path must be invisible in the output:
-    every fig7 cell's (and the ladder cell's) counters, engine
-    accounting, connection outcomes and export JSONL are byte-identical
-    between the per-packet pipeline (``REPRO_FABRIC=packet``) and the
-    batched one, on either engine."""
+    every fig7 cell's (and the ladder and connect-flood cells')
+    counters, engine accounting, connection outcomes and export JSONL
+    are byte-identical between the per-packet pipeline
+    (``REPRO_FABRIC=packet``) and the batched one, on either engine."""
     engines = ["py"] if CEngine is None else ["py", "auto"]
     outputs = {}
     for engine in engines:

@@ -1,8 +1,11 @@
 """Stack-level edge cases: port allocation, RST discipline, demux."""
 
+import random
+
 import pytest
 
-from repro.errors import NetworkError
+import repro.tcp.stack as stack_module
+from repro.errors import NetworkError, PortsExhaustedError
 from repro.net.packet import Packet, TCPFlags
 from repro.tcp.stack import EPHEMERAL_BASE, EPHEMERAL_SPAN
 from tests.conftest import MiniNet
@@ -24,6 +27,45 @@ class TestPortAllocation:
         mini_net.server.tcp.listen(80)
         with pytest.raises(NetworkError):
             mini_net.server.tcp.listen(80)
+
+    def test_exhausted_port_space_allocates_like_a_full_scan(
+            self, mini_net, monkeypatch):
+        """Once every port toward a peer is taken, connect() raises
+        PortsExhaustedError without rescanning, and a port freed later is
+        handed out exactly as the cursor scan would pick it: the first
+        free port at or after the cursor, wrapping around."""
+        span = 16
+        monkeypatch.setattr(stack_module, "EPHEMERAL_SPAN", span)
+        stack = mini_net.client.tcp
+        peers = [(0x0B0B0B0B, 80), (0x0B0B0B0C, 80)]
+        rng = random.Random(7)
+        live = []
+
+        def scan(peer):
+            cursor = stack._next_ephemeral
+            for offset in range(span):
+                port = EPHEMERAL_BASE + (cursor - EPHEMERAL_BASE
+                                         + offset) % span
+                if (port,) + peer not in stack._clients:
+                    return port
+            return None
+
+        exhausted = 0
+        for _ in range(600):
+            if live and rng.random() < 0.35:
+                live.pop(rng.randrange(len(live))).abort()
+                continue
+            peer = peers[0] if rng.random() < 0.8 else peers[1]
+            expected = scan(peer)
+            if expected is None:
+                with pytest.raises(PortsExhaustedError):
+                    stack.connect(*peer)
+                exhausted += 1
+                continue
+            connection = stack.connect(*peer)
+            assert connection.local_port == expected
+            live.append(connection)
+        assert exhausted > 50
 
 
 class TestRstDiscipline:
