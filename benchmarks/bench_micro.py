@@ -153,7 +153,7 @@ def test_handshake_throughput(benchmark):
 def test_micro_manifests(output_dir):
     """Run the full registry through the self-timing harness and persist
     one ``BENCH_micro_<name>.json`` per benchmark — the files the
-    ``tcp-puzzles perf compare`` / CI gate diff."""
+    ``tcp-puzzles bench-compare --prefix micro_`` / CI gate diff."""
     from benchmarks.conftest import emit
 
     results = run_micro(repeats=3, scale=0.25)

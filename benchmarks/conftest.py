@@ -47,8 +47,8 @@ def record_manifest(name: str, result=None, extra=None,
     """Persist a run manifest as ``benchmarks/output/BENCH_<name>.json``.
 
     Pass a :class:`~repro.experiments.summary.ScenarioSummary` as
-    *result* to capture its counters, engine statistics and (if profiling
-    was on) callback profile; pass a :class:`~repro.runner.RunnerStats`
+    *result* to capture its counters, engine statistics and histograms;
+    pass a :class:`~repro.runner.RunnerStats`
     as *runner_stats* to persist the sweep's perf trajectory (per-cell
     wall time, events/sec, sim_wall_ratio, cache hits); *extra* merges
     additional keys in.

@@ -13,9 +13,12 @@
 #   4. a bench-compare smoke: a tiny run's manifest must self-compare
 #      clean, and a perturbed-quantile copy must fail the gate;
 #   5. a micro-bench smoke: the `perf micro` harness at a tiny scale must
-#      self-compare clean through `perf compare`, and a perturbed per-op
-#      p95 must fail the gate; the manifests land in benchmarks/output/
-#      for the CI artifact upload;
+#      self-compare clean through `bench-compare --prefix micro_`, and a
+#      perturbed per-op p95 must fail the gate; the manifests land in
+#      benchmarks/output/ for the CI artifact upload; then a profiler
+#      smoke: `perf profile` on the default puzzles SYN flood must book
+#      self time to the net, tcp.listener and puzzles layers, and every
+#      flamegraph line must start at a layer;
 #   6. a scheduler regression guard: the two engine micro-benchmarks
 #      (timer_churn, engine_dispatch) run on the adopted engine and on
 #      the reference heap, interleaved in one process, and the adopted
@@ -121,7 +124,7 @@ python -m repro.cli perf micro --scale 0.05 --repeats 2 \
     --output "$smokedir/micro/base" > /dev/null
 cp -r "$smokedir/micro/base" "$smokedir/micro/cur"
 cp "$smokedir/micro/base"/BENCH_micro_*.json benchmarks/output/
-python -m repro.cli perf compare "$smokedir/micro/base" \
+python -m repro.cli bench-compare --prefix micro_ "$smokedir/micro/base" \
     "$smokedir/micro/cur" || {
     echo "micro smoke: self-compare should pass" >&2
     exit 1
@@ -135,22 +138,37 @@ body = json.loads(path.read_text())
 body["histograms"]["micro_op.timer_churn"]["quantiles"]["p95"] *= 10.0
 path.write_text(json.dumps(body))
 PYEOF
-if python -m repro.cli perf compare "$smokedir/micro/base" \
-        "$smokedir/micro/bad" > /dev/null; then
+if python -m repro.cli bench-compare --prefix micro_ \
+        "$smokedir/micro/base" "$smokedir/micro/bad" > /dev/null; then
     echo "micro smoke: perturbed per-op p95 should fail" >&2
     exit 1
 fi
-# Attribution profiler + flamegraph smoke on a tiny flood.
-perf_out=$(python -m repro.cli perf profile --time-scale 0.01 \
-    --clients 2 --attackers 1 --flame "$smokedir/flame.txt")
-grep -q "per-component attribution:" <<<"$perf_out" || {
-    echo "perf smoke: component attribution table missing" >&2
-    exit 1
-}
-[ -s "$smokedir/flame.txt" ] || {
-    echo "perf smoke: flamegraph export is empty" >&2
-    exit 1
-}
+# Layer profiler + flamegraph smoke on a tiny puzzles SYN flood.
+python -m repro.cli perf profile --time-scale 0.01 --clients 2 \
+    --attackers 1 --flame "$smokedir/flame.txt" \
+    -o "$smokedir/profile" > /dev/null
+python - "$smokedir" <<'PYEOF'
+import json, pathlib, sys
+
+from repro.obs.profile import LAYERS, OTHER
+
+root = pathlib.Path(sys.argv[1])
+layers = json.loads((root / "profile" / "BENCH_profile_syn_puzzles.json")
+                    .read_text())["profile"]["layers"]
+if set(layers) != set(LAYERS) | {OTHER}:
+    sys.exit(f"perf smoke: layer table has {sorted(layers)}")
+idle = [name for name in ("net", "tcp.listener", "puzzles")
+        if not layers[name]["self_seconds"] > 0]
+if idle:
+    sys.exit(f"perf smoke: no self time booked to {', '.join(idle)}")
+lines = (root / "flame.txt").read_text().splitlines()
+strays = [line for line in lines
+          if line.split(";", 1)[0] not in layers]
+if not lines or strays:
+    sys.exit(f"perf smoke: {len(lines)} flamegraph lines, "
+             f"{len(strays)} not rooted at a layer")
+print(f"perf smoke: {len(layers)} layers, {len(lines)} flamegraph lines")
+PYEOF
 
 echo "== scheduler regression guard =="
 # Ops/s of the adopted engine over ops/s of the reference heap, both

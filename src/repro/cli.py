@@ -23,21 +23,23 @@ Subcommands mirror the paper's workflow:
   handshake spans as Chrome trace-event JSON (``--format=chrome``);
 * ``bench-compare`` — diff two ``BENCH_*.json`` manifest directories
   (counters, events/s, latency quantiles) inside tolerance bands and
-  exit non-zero on regression — the CI perf gate;
+  exit non-zero on regression or when nothing was compared — the CI perf
+  gate (``--prefix micro_`` gates the micro-benchmark manifests alone);
 * ``perf``     — the performance-observability toolkit:
   ``perf micro`` runs the deterministic micro-benchmark registry and
-  writes ``BENCH_micro_*.json`` manifests, ``perf profile`` runs a
-  flood scenario under the attribution profiler (per-component wall
-  table, heap churn, optional tracemalloc/GC accounting, collapsed-
-  stack flamegraph + Chrome trace export), and ``perf compare`` gates
-  two micro-manifest directories (see docs/performance.md).
+  writes ``BENCH_micro_*.json`` manifests, and ``perf profile`` runs a
+  flood scenario under :class:`~repro.obs.profile.Profiler` (per-layer
+  self-time table, top functions, heap churn, optional tracemalloc/GC
+  accounting, collapsed-stack flamegraph + Chrome trace export; see
+  docs/performance.md).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 def _make_monitor(args: argparse.Namespace, kind: str = "sweep"):
@@ -525,6 +527,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import (TelemetrySpec, build_spans, drop_attribution,
                            established_total)
     from repro.obs.export import write_jsonl
+    from repro.obs.profile import Profiler
     from repro.obs.spans import chrome_trace_json
     from repro.tcp.constants import DefenseMode
 
@@ -541,9 +544,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         defense=DefenseMode(args.defense),
         tracing=True,
         trace_capacity=args.capacity,
-        profile=args.profile,
         telemetry=telemetry)
-    result = Scenario(config).run()
+    profiler = Profiler() if args.profile else None
+    with profiler or contextlib.nullcontext():
+        result = Scenario(config).run()
     obs = result.obs
     tracer = obs.tracer
     series = result.sampler.as_dict() if result.sampler is not None \
@@ -599,15 +603,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
           f"{stats['wall_seconds']:.3f}s wall "
           f"({stats['sim_wall_ratio']:.0f}x real time), "
           f"{stats['compactions']} heap compactions")
-    if result.profiler is not None:
+    if profiler is not None:
         print()
-        print(result.profiler.render())
+        print(profiler.render_layers())
 
     if args.jsonl:
         with open(args.jsonl, "w") as fh:
             lines = write_jsonl(fh, registry=obs.counters, tracer=tracer,
                                 engine=result.engine,
-                                profiler=result.profiler,
+                                profiler=profiler,
                                 hists=obs.hist,
                                 spans=build_spans(tracer),
                                 series=series)
@@ -643,11 +647,45 @@ def _cmd_perf_micro(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _memory_accounting(report: Dict[str, Dict[str, float]]):
+    """Account allocations (tracemalloc) and GC pauses around a block
+    into *report*; both hooks are removed however the block ends."""
+    import gc
+    import time
+    import tracemalloc
+
+    started_here = not tracemalloc.is_tracing()
+    if started_here:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    gc_stats = {"collections": 0, "pause_seconds": 0.0}
+    pause_started = [0.0]
+
+    def hook(phase: str, info: dict) -> None:
+        if phase == "start":
+            pause_started[0] = time.perf_counter()
+        else:
+            gc_stats["collections"] += 1
+            gc_stats["pause_seconds"] += \
+                time.perf_counter() - pause_started[0]
+
+    gc.callbacks.append(hook)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(hook)
+        current, peak = tracemalloc.get_traced_memory()
+        if started_here:
+            tracemalloc.stop()
+        report["memory"] = {"current_bytes": float(current),
+                            "peak_bytes": float(peak)}
+        report["gc"] = gc_stats
+
+
 def _cmd_perf_profile(args: argparse.Namespace) -> int:
     from repro.experiments.scenario import Scenario, ScenarioConfig
-    from repro.obs.perf import (AttributionProfiler, heap_churn,
-                                profile_payload, render_heap_churn,
-                                write_flamegraph)
+    from repro.obs.profile import Profiler, heap_churn, render_heap_churn
     from repro.tcp.constants import DefenseMode
 
     config = ScenarioConfig(
@@ -658,31 +696,35 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
         attack_style=("syn" if args.attack == "none" else args.attack),
         attack_enabled=(args.attack != "none"),
         defense=DefenseMode(args.defense),
-        tracing=bool(args.chrome),
-        profile=("attribution+mem" if args.memory else "attribution"))
-    result = Scenario(config).run()
-    profiler = result.profiler
-    assert isinstance(profiler, AttributionProfiler)
+        tracing=bool(args.chrome))
+    memory: Dict[str, Dict[str, float]] = {}
+    bracket = (_memory_accounting(memory) if args.memory
+               else contextlib.nullcontext())
+    with bracket, Profiler() as profiler:
+        result = Scenario(config).run()
 
     stats = result.engine.stats()
     print(f"profiled {args.attack} flood, defense={args.defense}: "
           f"{stats['events_processed']:,.0f} events in "
-          f"{stats['wall_seconds']:.3f}s wall "
-          f"({stats['sim_wall_ratio']:.0f}x real time)")
+          f"{profiler.wall_seconds:.3f}s profiled wall")
     print()
-    print("per-component attribution:")
-    print(profiler.render_components())
+    print("self time by layer:")
+    print(profiler.render_layers())
     print()
-    print(f"hottest callback kinds (top {args.top}):")
-    print(profiler.render(top=args.top))
+    print(f"top functions by self time (top {args.top}):")
+    print(profiler.render_functions(top=args.top))
     print()
-    print(render_heap_churn(heap_churn(result.engine)))
-    memory_lines = profiler.render_memory()
-    if memory_lines:
-        print(memory_lines)
+    churn = heap_churn(result.engine)
+    print(render_heap_churn(churn))
+    if memory:
+        print(f"memory: {memory['memory']['current_bytes'] / 1024.0:,.1f} "
+              f"KiB live, {memory['memory']['peak_bytes'] / 1024.0:,.1f} "
+              f"KiB peak (tracemalloc)")
+        print(f"gc: {memory['gc']['collections']} collections, "
+              f"{memory['gc']['pause_seconds'] * 1e3:.2f} ms total pause")
 
     if args.flame:
-        lines = write_flamegraph(profiler, args.flame)
+        lines = profiler.write_flamegraph(args.flame)
         print(f"wrote {lines} collapsed-stack line(s) to {args.flame} "
               f"(speedscope / flamegraph.pl loadable)")
     if args.chrome:
@@ -702,25 +744,13 @@ def _cmd_perf_profile(args: argparse.Namespace) -> int:
 
         payload = hub_payload(result.obs, engine=result.engine)
         payload["name"] = f"profile_{args.attack}_{args.defense}"
-        payload["profile"] = profile_payload(profiler, result.engine)
+        payload["profile"] = {**profiler.as_payload(),
+                              "heap_churn": churn, **memory}
         path = write_manifest(
             pathlib.Path(args.output)
             / f"BENCH_{payload['name']}.json", payload)
         print(f"wrote {path}")
     return 0
-
-
-def _cmd_perf_compare(args: argparse.Namespace) -> int:
-    from repro.obs.benchcmp import Tolerance, compare_dirs
-    from repro.obs.microbench import MICRO_PREFIX
-
-    tolerance = Tolerance(counters=args.counter_tolerance,
-                          perf=args.perf_tolerance,
-                          quantile=args.quantile_tolerance)
-    report = compare_dirs(args.baseline, args.current, tolerance,
-                          prefix=MICRO_PREFIX)
-    print(report.render())
-    return 0 if report.passed else 1
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
@@ -729,7 +759,8 @@ def _cmd_bench_compare(args: argparse.Namespace) -> int:
     tolerance = Tolerance(counters=args.counter_tolerance,
                           perf=args.perf_tolerance,
                           quantile=args.quantile_tolerance)
-    report = compare_dirs(args.baseline, args.current, tolerance)
+    report = compare_dirs(args.baseline, args.current, tolerance,
+                          prefix=args.prefix)
     print(report.render())
     return 0 if report.passed else 1
 
@@ -920,8 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pprof = perf_sub.add_parser(
         "profile",
-        help="run a flood scenario under the attribution profiler "
-        "(per-component wall table, heap churn, flamegraph export)")
+        help="run a flood scenario under cProfile (per-layer self-time "
+        "table, top functions, heap churn, flamegraph export)")
     pprof.add_argument("--defense", default="puzzles",
                        choices=["none", "cookies", "syncache", "puzzles"])
     pprof.add_argument("--attack", default="syn",
@@ -933,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     pprof.add_argument("--attackers", type=int, default=10)
     pprof.add_argument("--seed", type=int, default=1)
     pprof.add_argument("--top", type=int, default=15,
-                       help="callback kinds to print (default 15)")
+                       help="functions to print (default 15)")
     pprof.add_argument("--memory", action="store_true",
                        help="also account allocations (tracemalloc) and "
                        "GC pauses around the run")
@@ -948,27 +979,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "under DIR")
     pprof.set_defaults(func=_cmd_perf_profile)
 
-    pcmp = perf_sub.add_parser(
-        "compare",
-        help="bench-compare restricted to BENCH_micro_* manifests; "
-        "exit non-zero on regression")
-    pcmp.add_argument("baseline", help="baseline manifest directory")
-    pcmp.add_argument("current", help="current manifest directory")
-    pcmp.add_argument("--counter-tolerance", type=float, default=0.0,
-                      help="relative drift allowed on work counters "
-                      "(default: exact — the determinism gate)")
-    pcmp.add_argument("--perf-tolerance", type=float, default=0.30,
-                      help="relative wall/ops-per-second drift allowed "
-                      "(default: 0.30)")
-    pcmp.add_argument("--quantile-tolerance", type=float, default=0.25,
-                      help="relative per-op latency-quantile increase "
-                      "allowed (default: 0.25)")
-    pcmp.set_defaults(func=_cmd_perf_compare)
-
     bench = sub.add_parser(
         "bench-compare",
         help="diff two BENCH_*.json manifest directories; exit non-zero "
-        "on regression")
+        "on regression or when the two share no manifest")
     bench.add_argument("baseline", help="baseline manifest directory")
     bench.add_argument("current", help="current manifest directory")
     bench.add_argument("--counter-tolerance", type=float, default=0.0,
@@ -980,6 +994,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quantile-tolerance", type=float, default=0.25,
                        help="relative latency-quantile increase allowed "
                        "(default: 0.25)")
+    bench.add_argument("--prefix", default=None, metavar="PREFIX",
+                       help="compare only BENCH_<PREFIX>*.json manifests "
+                       "(e.g. micro_ for the micro-benchmarks)")
     bench.set_defaults(func=_cmd_bench_compare)
     return parser
 

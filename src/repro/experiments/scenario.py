@@ -34,8 +34,8 @@ from repro.net.addresses import AddressAllocator
 from repro.net.network import Network
 from repro.net.pcap import PacketCapture
 from repro.net.topology import Topology, deter_topology
-from repro.obs import (EngineProfiler, Observability, SimSampler,
-                       SourceAttribution, TelemetrySpec, hub_for)
+from repro.obs import (Observability, SimSampler, SourceAttribution,
+                       TelemetrySpec, hub_for)
 from repro.puzzles.juels import JuelsBrainardScheme
 from repro.puzzles.params import PuzzleParams
 from repro.sim.engine import Engine
@@ -106,11 +106,6 @@ class ScenarioConfig:
     #: hot path stays a single flag test).
     tracing: bool = False
     trace_capacity: int = 65536
-    #: Attach a profiler to the event loop: ``True``/``"basic"`` for the
-    #: per-kind :class:`~repro.obs.EngineProfiler`, ``"attribution"``
-    #: (or ``"attribution+mem"``) for the per-component
-    #: :class:`~repro.obs.AttributionProfiler`.
-    profile: object = False
     #: Streaming telemetry (:class:`~repro.obs.TelemetrySpec`): sim-time
     #: series sampled on a fixed cadence, plus optional bounded-memory
     #: per-source attribution sketches on the listener. ``None`` (the
@@ -270,8 +265,6 @@ class ScenarioResult(RunMeasures):
         default_factory=dict)
     #: The engine's observability hub (SNMP counters + handshake tracer).
     obs: Optional[Observability] = None
-    #: Event-loop profiler, present when ``config.profile`` was set.
-    profiler: Optional[EngineProfiler] = None
     #: Streaming-telemetry sampler, present when ``config.telemetry``
     #: was set.
     sampler: Optional[SimSampler] = None
@@ -322,12 +315,6 @@ class Scenario:
         obs = hub_for(engine)
         obs.tracer.configure(capacity=config.trace_capacity,
                              enabled=config.tracing)
-        profiler: Optional[EngineProfiler] = None
-        if config.profile:
-            from repro.obs.perf import make_profiler
-
-            profiler = make_profiler(config.profile)
-            engine.attach_profiler(profiler)
         streams = RngStreams(config.seed)
         topology = deter_topology(config.n_clients, config.n_attackers)
         network = Network(engine, topology)
@@ -476,7 +463,7 @@ class Scenario:
             cpu=cpu, queues=queues, server_app=server_app, botnet=botnet,
             clients=clients, hosts=hosts,
             server_established=server_established,
-            obs=obs, profiler=profiler, sampler=sampler,
+            obs=obs, sampler=sampler,
             attribution=attribution, watchdog=watchdog)
 
     # ------------------------------------------------------------------
@@ -520,17 +507,7 @@ class Scenario:
                                    * max(1, config.n_attackers))))
             result.engine.schedule_at(config.attack_end,
                                       result.botnet.stop)
-        if result.profiler is not None:
-            # Memory/GC bracketing (no-op on the plain profiler and on
-            # attribution profilers without the opt-in flags).
-            start = getattr(result.profiler, "start", None)
-            if start is not None:
-                start()
         result.engine.run(until=config.duration)
-        if result.profiler is not None:
-            finish = getattr(result.profiler, "finish", None)
-            if finish is not None:
-                finish()
         for client in result.clients:
             client.stop()
         result.cpu.stop()

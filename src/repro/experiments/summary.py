@@ -69,7 +69,6 @@ class ScenarioSummary(RunMeasures):
         default_factory=dict)
     attack_stats: Optional[AttackStats] = None
     botnet_size: int = 0
-    profile: Optional[Dict[str, Dict[str, float]]] = None
     #: Sim-time duration histograms from the hub registry (handshake
     #: latency, puzzle solve time, accept-queue wait) — fixed-boundary
     #: and picklable, so the runner can merge them across workers.
@@ -167,9 +166,6 @@ def summarize(result) -> ScenarioSummary:
     if result.obs is not None:
         counters = result.obs.counters.snapshot()
         histograms = result.obs.hist.as_dict()
-    profile = None
-    if result.profiler is not None:
-        profile = result.profiler.snapshot()
     botnet_size = result.botnet.size if result.botnet is not None else 0
     fault_stats = None
     injector = getattr(result, "fault_injector", None)
@@ -199,7 +195,6 @@ def summarize(result) -> ScenarioSummary:
         server_established=dict(result.server_established),
         attack_stats=result.attack_stats,
         botnet_size=botnet_size,
-        profile=profile,
         histograms=histograms,
         timeseries=timeseries,
         attribution=attribution,

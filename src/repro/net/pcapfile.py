@@ -158,16 +158,27 @@ class ParsedFrame:
 
 
 def parse_frame(time: float, frame: bytes) -> ParsedFrame:
-    """Dissect one raw IPv4+TCP frame as written by :class:`PcapWriter`."""
+    """Dissect one raw IPv4+TCP frame as written by :class:`PcapWriter`.
+
+    Any malformed frame raises :class:`~repro.errors.NetworkError`: a
+    header length below the minimum or past the frame's end is rejected
+    before any field behind it is read.
+    """
     if len(frame) < 40:
         raise NetworkError(f"frame too short: {len(frame)} bytes")
     ihl = (frame[0] & 0x0F) * 4
     if frame[0] >> 4 != 4 or frame[9] != 6:
         raise NetworkError("not an IPv4/TCP frame")
+    if ihl < 20 or ihl + 20 > len(frame):
+        raise NetworkError(f"bad IPv4 header length {ihl} in a "
+                           f"{len(frame)}-byte frame")
     src_ip, dst_ip = struct.unpack("!II", frame[12:20])
     tcp = frame[ihl:]
     src_port, dst_port, seq, ack = struct.unpack("!HHII", tcp[:12])
     data_offset = (tcp[12] >> 4) * 4
+    if data_offset < 20 or data_offset > len(tcp):
+        raise NetworkError(f"bad TCP data offset {data_offset} in a "
+                           f"{len(tcp)}-byte segment")
     flags = tcp[13]
     raw_options = tcp[20:data_offset]
     options: List[ParsedOption] = []

@@ -1,6 +1,6 @@
 """``repro.obs`` — the kernel-style observability layer.
 
-Three pillars, all zero-cost when left at their defaults:
+Four pillars, all zero-cost when left at their defaults:
 
 * **Counters** (:mod:`repro.obs.counters`) — per-host SNMP/MIB-style
   monotonic counters (``SynsRecv``, ``SynCookiesSent``, ``PuzzlesVerified``,
@@ -14,9 +14,10 @@ Three pillars, all zero-cost when left at their defaults:
   histograms (handshake latency, puzzle solve time, accept-queue wait)
   with fixed boundaries so they merge across sweep workers. Always on;
   a record is one dict lookup plus a ``log10``.
-* **Profiling** (:mod:`repro.obs.profile`) — per-callback-kind wall-time
-  accounting inside the simulation engine. Off unless a profiler is
-  attached.
+* **Profiling** (:mod:`repro.obs.profile`) — :class:`Profiler` runs
+  cProfile around a block and books self time and calls to the
+  benchmark ledger's layers. Nothing in the simulator knows about it, so
+  an unprofiled run pays nothing.
 
 One :class:`Observability` hub exists per engine (``hub_for(engine)``
 creates it on demand and caches it on the engine), so every host built on
@@ -36,17 +37,7 @@ from repro.obs.counters import (
     established_total,
 )
 from repro.obs.hist import Histogram, HistogramRegistry
-from repro.obs.perf import (
-    AttributionProfiler,
-    callback_module,
-    collapsed_stacks,
-    component_of,
-    component_of_frame,
-    heap_churn,
-    make_profiler,
-    write_flamegraph,
-)
-from repro.obs.profile import EngineProfiler, callback_kind
+from repro.obs.profile import LAYERS, Profiler, heap_churn
 from repro.obs.sketch import CountMinSketch, SourceAttribution, SpaceSaving
 from repro.obs.spans import HandshakeSpan, SpanPhase, build_spans
 from repro.obs.timeseries import (
@@ -60,7 +51,6 @@ from repro.obs.timeseries import (
 from repro.obs.trace import DEFAULT_CAPACITY, HandshakeTracer, TraceEvent
 
 __all__ = [
-    "AttributionProfiler",
     "CATALOGUE",
     "DROP_CAUSES",
     "ESTABLISHED_COUNTERS",
@@ -68,12 +58,13 @@ __all__ = [
     "CounterRegistry",
     "CounterScope",
     "DEFAULT_CAPACITY",
-    "EngineProfiler",
     "HandshakeSpan",
     "HandshakeTracer",
     "Histogram",
     "HistogramRegistry",
+    "LAYERS",
     "Observability",
+    "Profiler",
     "SeriesRegistry",
     "SimSampler",
     "SourceAttribution",
@@ -83,19 +74,12 @@ __all__ = [
     "TimeSeries",
     "TraceEvent",
     "build_spans",
-    "callback_kind",
-    "callback_module",
     "chrome_counter_events",
-    "collapsed_stacks",
-    "component_of",
-    "component_of_frame",
     "drop_attribution",
     "established_total",
     "heap_churn",
     "hub_for",
-    "make_profiler",
     "series_payload",
-    "write_flamegraph",
 ]
 
 

@@ -18,9 +18,7 @@ What is compared, and how:
   is a regression; improvements are reported as notes;
 * **latency histograms** (top-level and inside the ``runner`` block) —
   quantile *increases* beyond the tolerance are regressions; counts are
-  held to the counter tolerance (deterministic sim-time data). Wall-time
-  families (``callback_wall``) are skipped — they legitimately differ
-  between identical runs.
+  held to the counter tolerance (deterministic sim-time data).
 * **telemetry series** (the ``timeseries`` block) — deterministic like
   counters: sample-count or mass drift is a behaviour change.
 
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
-from repro.obs.hist import QUANTILE_LABELS, WALL_FAMILIES, family
+from repro.obs.hist import QUANTILE_LABELS
 
 #: Manifest stems never compared (the session roll-up lists file names,
 #: not measurements).
@@ -113,8 +111,8 @@ def load_manifests(directory,
     """``BENCH_<name>.json`` bodies keyed by name, roll-ups skipped.
 
     With *prefix*, only manifests whose name starts with it load —
-    ``tcp-puzzles perf compare`` uses ``prefix="micro_"`` to gate the
-    micro-benchmark suite in isolation.
+    ``bench-compare --prefix micro_`` gates the micro-benchmark suite in
+    isolation.
     """
     directory = pathlib.Path(directory)
     if not directory.is_dir():
@@ -217,8 +215,6 @@ def _compare_histograms(name: str, prefix: str, base: dict, current: dict,
     base_hists = base or {}
     cur_hists = current or {}
     for hist_name in sorted(set(base_hists) | set(cur_hists)):
-        if family(hist_name) in WALL_FAMILIES:
-            continue
         if hist_name not in cur_hists:
             findings.append(Finding(
                 manifest=name, metric=f"{prefix}.{hist_name}",
@@ -342,7 +338,8 @@ def compare_manifest(name: str, base: dict, current: dict,
 def compare_dirs(baseline_dir, current_dir,
                  tolerance: Optional[Tolerance] = None,
                  prefix: Optional[str] = None) -> CompareReport:
-    """Compare two manifest directories; missing coverage is a failure.
+    """Compare two manifest directories; missing coverage is a failure,
+    and so is a comparison in which the two sides share no manifest.
 
     *prefix* restricts both sides to manifests whose name starts with it
     (see :func:`load_manifests`).
@@ -352,6 +349,12 @@ def compare_dirs(baseline_dir, current_dir,
     current = load_manifests(current_dir, prefix=prefix)
     findings: List[Finding] = []
     shared = sorted(set(baseline) & set(current))
+    if not shared:
+        findings.append(Finding(
+            manifest="(none)", metric="(manifest)", baseline=None,
+            current=None, severity="regression",
+            message=f"nothing compared: no BENCH_{prefix or ''}*.json "
+                    f"manifest is in both directories"))
     for name in sorted(set(baseline) - set(current)):
         findings.append(Finding(
             manifest=name, metric="(manifest)", baseline=None,

@@ -4,10 +4,10 @@ Two consumers, two formats:
 
 * **JSON-lines** — one self-describing object per line (``type`` is
   ``counter`` / ``trace`` / ``span`` / ``hist`` / ``engine`` /
-  ``profile``), for post-run analysis pipelines. All output is
-  deterministically ordered and ``sort_keys``-serialised, so two
-  identical runs produce byte-identical exports (the determinism tests
-  rely on this).
+  ``profile``, one profile line per layer), for post-run analysis
+  pipelines. All output is deterministically ordered and
+  ``sort_keys``-serialised, so two identical runs produce byte-identical
+  exports (the determinism tests rely on this).
 * **Prometheus text exposition** — ``repro_mib_total{host=...,counter=...}``
   counter families plus ``repro_duration_seconds{name=...}`` summary
   families (histogram quantiles), with ``# HELP``/``# TYPE`` headers,
@@ -25,7 +25,6 @@ from repro.obs.hist import (
     Histogram,
     HistogramRegistry,
 )
-from repro.obs.profile import EngineProfiler
 from repro.obs.trace import HandshakeTracer
 
 
@@ -57,11 +56,12 @@ def engine_lines(engine) -> Iterator[str]:
     yield _dumps(stats)
 
 
-def profile_lines(profiler: EngineProfiler) -> Iterator[str]:
-    for kind, entry in profiler.snapshot().items():
-        yield _dumps({"type": "profile", "kind": kind,
-                      "count": entry["count"],
-                      "wall_seconds": entry["wall_seconds"]})
+def profile_lines(profiler) -> Iterator[str]:
+    """One ``type: "profile"`` line per layer of a
+    :class:`~repro.obs.profile.Profiler`, in layer order."""
+    for layer, (calls, self_s) in profiler.layers.items():
+        yield _dumps({"type": "profile", "layer": layer, "calls": calls,
+                      "self_seconds": self_s})
 
 
 def _hist_map(hists: Union[HistogramRegistry, Dict[str, Histogram]]
@@ -108,8 +108,7 @@ def trace_jsonl(tracer: HandshakeTracer) -> str:
 
 def write_jsonl(stream: TextIO, registry: Optional[CounterRegistry] = None,
                 tracer: Optional[HandshakeTracer] = None,
-                engine=None,
-                profiler: Optional[EngineProfiler] = None,
+                engine=None, profiler=None,
                 hists=None, spans=None, series=None) -> int:
     """Write every provided source to *stream*; returns lines written."""
     from repro.obs.spans import span_lines
@@ -141,9 +140,6 @@ def write_jsonl(stream: TextIO, registry: Optional[CounterRegistry] = None,
             count += 1
     if profiler is not None:
         for line in profile_lines(profiler):
-            stream.write(line + "\n")
-            count += 1
-        for line in hist_lines({profiler.hist.name: profiler.hist}):
             stream.write(line + "\n")
             count += 1
     return count
@@ -193,10 +189,8 @@ def _series_gauge_lines(lines, table) -> None:
 
 
 def prometheus_text(registry: Optional[CounterRegistry] = None,
-                    engine=None,
-                    profiler: Optional[EngineProfiler] = None,
-                    hists=None, series=None) -> str:
-    """Render the registry (and optional engine/profiler/histograms) as
+                    engine=None, hists=None, series=None) -> str:
+    """Render the registry (and optional engine/histograms/series) as
     exposition text. Counter HELP strings come from the catalogue."""
     lines = []
     if registry is not None:
@@ -236,27 +230,10 @@ def prometheus_text(registry: Optional[CounterRegistry] = None,
             lines.append(f"# HELP {metric} {help_text}")
             lines.append(f"# TYPE {metric} {mtype}")
             lines.append(f"{metric} {stats[key]}")
-    if profiler is not None:
-        lines.append("# HELP repro_engine_callback_wall_seconds_total "
-                     "wall time spent in each callback kind")
-        lines.append("# TYPE repro_engine_callback_wall_seconds_total "
-                     "counter")
-        lines.append("# HELP repro_engine_callback_calls_total dispatches "
-                     "of each callback kind")
-        lines.append("# TYPE repro_engine_callback_calls_total counter")
-        for kind, entry in profiler.snapshot().items():
-            label = _escape_label(kind)
-            lines.append(f'repro_engine_callback_wall_seconds_total'
-                         f'{{kind="{label}"}} {entry["wall_seconds"]}')
-            lines.append(f'repro_engine_callback_calls_total'
-                         f'{{kind="{label}"}} {entry["count"]}')
-    hist_table: Dict[str, Histogram] = {}
     if hists is not None:
-        hist_table.update(_hist_map(hists))
-    if profiler is not None and profiler.hist.count:
-        hist_table.setdefault(profiler.hist.name, profiler.hist)
-    if hist_table:
-        _summary_lines(lines, hist_table)
+        hist_table = _hist_map(hists)
+        if hist_table:
+            _summary_lines(lines, hist_table)
     if series is not None:
         table = _series_map(series)
         if table:

@@ -54,17 +54,10 @@ CATALOGUE = {
     "accept_wait":
         "time an established connection waits in the accept queue before "
         "the application accept()s it (seconds)",
-    "callback_wall":
-        "wall-clock seconds per dispatched engine callback "
-        "(profiler-gated; not deterministic)",
     "micro_op":
         "wall-clock seconds per micro-benchmark operation, one sample "
         "per timed repeat (same-machine comparisons only)",
 }
-
-#: Histogram families measuring *wall* time — excluded from deterministic
-#: payload comparisons (they legitimately differ between identical runs).
-WALL_FAMILIES = frozenset({"callback_wall"})
 
 
 def family(name: str) -> str:

@@ -1,10 +1,12 @@
-"""Run manifests: persist a run's counters + profile as ``BENCH_*.json``.
+"""Run manifests: persist a run's counters and statistics as
+``BENCH_*.json``.
 
 Every benchmark run should leave behind a machine-readable record of what
-the stack actually did — counters, engine statistics, and (when profiling
-was on) the per-callback wall-time table — so the perf trajectory across
-PRs can be read straight from ``benchmarks/output/BENCH_*.json`` instead
-of being reconstructed from printed tables.
+the stack actually did — counters, engine statistics, histograms — so the
+perf trajectory across PRs can be read straight from
+``benchmarks/output/BENCH_*.json`` instead of being reconstructed from
+printed tables. ``tcp-puzzles perf profile -o DIR`` adds a ``profile``
+block (the layer table, top functions and heap churn).
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import json
 import pathlib
 import platform
 import sys
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs.counters import drop_attribution, established_total
-from repro.obs.profile import EngineProfiler
 from repro.obs.timeseries import series_payload
 
 
@@ -50,12 +51,10 @@ def _handshake_attribution(hosts) -> Dict[str, object]:
     return attribution
 
 
-def hub_payload(hub, engine=None,
-                profiler: Optional[EngineProfiler] = None
-                ) -> Dict[str, object]:
+def hub_payload(hub, engine=None) -> Dict[str, object]:
     """Counters (+ per-listener drop attribution), histograms, and
-    optional engine stats / profile from one
-    :class:`~repro.obs.Observability` hub."""
+    optional engine stats from one :class:`~repro.obs.Observability`
+    hub."""
     payload: Dict[str, object] = {"counters": hub.counters.snapshot()}
     hists = getattr(hub, "hist", None)
     if hists is not None and len(hists):
@@ -66,12 +65,6 @@ def hub_payload(hub, engine=None,
         payload["handshake_attribution"] = attribution
     if engine is not None:
         payload["engine"] = engine_payload(engine)
-    if profiler is not None:
-        payload["profile"] = profiler.snapshot()
-        if profiler.hist.count:
-            payload.setdefault("histograms", {})
-            payload["histograms"][profiler.hist.name] = \
-                profiler.hist.as_payload()
     return payload
 
 
@@ -80,9 +73,8 @@ def summary_payload(summary) -> Dict[str, object]:
 
     Duck-typed so this module never imports the experiments layer:
     anything carrying ``counters`` / ``engine_stats`` / ``listener_stats``
-    (and optionally ``profile``) mappings works — the engine statistics
-    here include the wall-time fields, since manifests exist to track
-    them.
+    mappings works — the engine statistics here include the wall-time
+    fields, since manifests exist to track them.
     """
     payload: Dict[str, object] = {
         "counters": dict(summary.counters),
@@ -95,9 +87,6 @@ def summary_payload(summary) -> Dict[str, object]:
     attribution = _handshake_attribution(summary.counters.items())
     if attribution:
         payload["handshake_attribution"] = attribution
-    profile = getattr(summary, "profile", None)
-    if profile is not None:
-        payload["profile"] = profile
     series = getattr(summary, "timeseries", None)
     if series:
         payload["timeseries"] = series_payload(series)

@@ -28,7 +28,7 @@ from repro.errors import ExperimentError
 #: entry pickled under an older shape addresses a different key and is
 #: never unpickled into newer code. Bump whenever ScenarioSummary (or
 #: anything it contains) gains, loses, or re-types a field.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 def _qualname(obj: Any) -> str:

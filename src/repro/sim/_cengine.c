@@ -18,9 +18,10 @@
  *     migrates them before the cursor could reach them;
  *   - Event.cancel is O(1): swap-remove from the wheel bucket, flag-only
  *     in the active batch, lazy + compaction in the overflow heap;
- *   - with no profiler attached a run() makes exactly two perf_counter
- *     calls, and perf_counter is looked up on repro.sim.engine each run
- *     so test monkeypatching keeps working;
+ *   - a run() makes exactly two perf_counter calls however many events
+ *     it dispatches (there is no per-event hook: repro.obs.profile runs
+ *     cProfile around a whole block), and perf_counter is looked up on
+ *     repro.sim.engine each run so test monkeypatching keeps working;
  *   - the clock is left at `until` when the queues drain early, and the
  *     cursor fast-forwards only when nothing is pending.
  */
@@ -85,7 +86,6 @@ struct EngineObject {
     long long wheel_count;
     int running;
     int stopped;
-    PyObject *profiler;      /* NULL or a profiler object */
     PyObject *clock_offsets; /* dict */
     EvVec wheel[WHEEL_SLOTS];
     EvVec overflow;          /* min-heap by (time, seq), lazy deletion */
@@ -490,7 +490,6 @@ Engine_init(EngineObject *self, PyObject *args, PyObject *kwds)
     self->high_water = 0;
     self->running = 0;
     self->stopped = 0;
-    Py_CLEAR(self->profiler);
     PyObject *offsets = PyDict_New();
     if (!offsets)
         return -1;
@@ -501,7 +500,6 @@ Engine_init(EngineObject *self, PyObject *args, PyObject *kwds)
 static int
 Engine_traverse(EngineObject *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->profiler);
     Py_VISIT(self->clock_offsets);
     Py_VISIT(self->attr_dict);
     for (int s = 0; s < WHEEL_SLOTS; s++) {
@@ -520,7 +518,6 @@ static int
 Engine_clear(EngineObject *self)
 {
     engine_clear_events(self);
-    Py_CLEAR(self->profiler);
     Py_CLEAR(self->clock_offsets);
     Py_CLEAR(self->attr_dict);
     return 0;
@@ -916,17 +913,6 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
     PyObject *pc = get_perf_counter();
     if (!pc)
         return NULL;
-    PyObject *profiler = self->profiler;
-    if (profiler == Py_None)
-        profiler = NULL;
-    PyObject *record = NULL;
-    if (profiler) {
-        record = PyObject_GetAttrString(profiler, "record");
-        if (!record) {
-            Py_DECREF(pc);
-            return NULL;
-        }
-    }
 
     self->running = 1;
     self->stopped = 0;
@@ -970,50 +956,13 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
             ev->loc = LOC_NONE;
             Py_CLEAR(ev->engine);
             self->now = ev->time;
-            if (!profiler) {
-                PyObject *res = PyObject_Call(ev->callback, ev->args, NULL);
-                if (!res) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                Py_DECREF(res);
+            PyObject *res = PyObject_Call(ev->callback, ev->args, NULL);
+            if (!res) {
+                Py_DECREF(ev);
+                failed = 1;
+                break;
             }
-            else {
-                double started = 0.0, finished = 0.0;
-                if (call_pc(pc, &started) < 0) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                PyObject *res = PyObject_Call(ev->callback, ev->args, NULL);
-                if (!res) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                Py_DECREF(res);
-                if (call_pc(pc, &finished) < 0) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                PyObject *wall = PyFloat_FromDouble(finished - started);
-                if (!wall) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                PyObject *rres = PyObject_CallFunctionObjArgs(
-                    record, ev->callback, wall, NULL);
-                Py_DECREF(wall);
-                if (!rres) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                Py_DECREF(rres);
-            }
+            Py_DECREF(res);
             self->events_processed++;
             self->live--;
             processed_this_run++;
@@ -1048,7 +997,6 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
         PyErr_Restore(ptype, pvalue, ptraceback);
     }
     Py_DECREF(pc);
-    Py_XDECREF(record);
     if (failed)
         return NULL;
 
@@ -1087,19 +1035,6 @@ Engine_drain(EngineObject *self, PyObject *Py_UNUSED(ignored))
         count += !self->batch.items[i]->cancelled;
     engine_clear_events(self);
     return PyLong_FromLongLong(count);
-}
-
-static PyObject *
-Engine_attach_profiler(EngineObject *self, PyObject *profiler)
-{
-    if (profiler == Py_None) {
-        Py_CLEAR(self->profiler);
-    }
-    else {
-        Py_INCREF(profiler);
-        Py_XSETREF(self->profiler, profiler);
-    }
-    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -1227,14 +1162,6 @@ Engine_get_pending_live(EngineObject *self, void *Py_UNUSED(closure))
     return PyLong_FromLongLong(self->live);
 }
 
-static PyObject *
-Engine_get_profiler(EngineObject *self, void *Py_UNUSED(closure))
-{
-    PyObject *profiler = self->profiler ? self->profiler : Py_None;
-    Py_INCREF(profiler);
-    return profiler;
-}
-
 static PyMethodDef Engine_methods[] = {
     {"schedule", (PyCFunction)(void (*)(void))Engine_schedule,
      METH_FASTCALL,
@@ -1251,8 +1178,6 @@ static PyMethodDef Engine_methods[] = {
      "Stop the current run after the in-flight callback."},
     {"drain", (PyCFunction)Engine_drain, METH_NOARGS,
      "Discard all pending events; returns how many were discarded."},
-    {"attach_profiler", (PyCFunction)Engine_attach_profiler, METH_O,
-     "Attach (or with None detach) a per-callback profiler."},
     {"stats", (PyCFunction)Engine_stats, METH_NOARGS,
      "Engine-level observability snapshot (all JSON-friendly)."},
     {"set_clock_offset",
@@ -1280,8 +1205,6 @@ static PyGetSetDef Engine_getset[] = {
      NULL},
     {"pending_live", (getter)Engine_get_pending_live, NULL,
      "Pending entries that will actually fire.", NULL},
-    {"profiler", (getter)Engine_get_profiler, NULL,
-     "The attached EngineProfiler, or None.", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 

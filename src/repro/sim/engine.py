@@ -17,8 +17,8 @@ agreeing with a Python port of the same wheel.
 ``Engine`` and ``Event`` are the adopted classes; ``CEngine`` is the
 compiled class, or ``None`` when the heap runs. Both cores read
 ``perf_counter`` from this module on every ``run``, so monkeypatching it
-here observes every timing call either core makes (the
-zero-overhead-when-detached gate in ``tests/obs/test_profile.py``).
+here observes every timing call either core makes (the two-calls-per-run
+gate in ``tests/obs/test_profile.py``).
 
 ``REPRO_ENGINE`` selects:
 

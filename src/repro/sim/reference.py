@@ -82,7 +82,6 @@ class ReferenceHeapEngine:
         self._compactions = 0
         self._heap_high_water = 0
         self._wall_seconds = 0.0
-        self._profiler = None
         self._clock_offsets: Dict[str, float] = {}
 
     @property
@@ -130,13 +129,6 @@ class ReferenceHeapEngine:
         """Heap entries that will actually fire."""
         return len(self._heap) - self._cancelled_pending
 
-    @property
-    def profiler(self):
-        return self._profiler
-
-    def attach_profiler(self, profiler) -> None:
-        self._profiler = profiler
-
     def schedule(self, delay: float, callback: Callable[..., None],
                  *args: Any) -> ReferenceEvent:
         if delay < 0:
@@ -179,7 +171,6 @@ class ReferenceHeapEngine:
         self._running = True
         self._stopped = False
         processed_this_run = 0
-        profiler = self._profiler
         # Looked up per run, as the compiled core does, so a perf_counter
         # monkeypatched on repro.sim.engine sees every call.
         perf_counter = sys.modules["repro.sim.engine"].perf_counter
@@ -207,13 +198,7 @@ class ReferenceHeapEngine:
                     self._cancelled_pending -= 1
                     continue
                 self._now = event.time
-                if profiler is None:
-                    event.callback(*event.args)
-                else:
-                    started = perf_counter()
-                    event.callback(*event.args)
-                    profiler.record(event.callback,
-                                    perf_counter() - started)
+                event.callback(*event.args)
                 self._events_processed += 1
                 processed_this_run += 1
                 if max_events is not None and processed_this_run >= max_events:

@@ -4,6 +4,7 @@ import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import NetworkError
 from repro.net.link import Link
@@ -85,6 +86,72 @@ class TestPcapReader:
         frame[9] = 17  # UDP
         with pytest.raises(NetworkError):
             parse_frame(0.0, bytes(frame))
+
+    @staticmethod
+    def _frame(**bytes_at) -> bytes:
+        """A 40-byte IPv4/TCP frame with some bytes overwritten."""
+        frame = bytearray(packet_to_bytes(
+            Packet(src_ip=1, dst_ip=2, src_port=3, dst_port=4)))
+        for index, value in bytes_at.items():
+            frame[int(index[1:])] = value
+        return bytes(frame)
+
+    def test_parse_rejects_ihl_past_the_frame(self):
+        # IHL 15 words = 60 bytes: the TCP header would start past the
+        # 40-byte frame.
+        with pytest.raises(NetworkError, match="IPv4 header length"):
+            parse_frame(0.0, self._frame(b0=0x4F, b9=6))
+
+    def test_parse_rejects_data_offset_past_the_segment(self):
+        # Data offset 15 words = 60 bytes in a 20-byte segment.
+        with pytest.raises(NetworkError, match="TCP data offset"):
+            parse_frame(0.0, self._frame(b0=0x45, b32=0xF0))
+
+    def test_parse_rejects_ihl_below_five_words(self):
+        with pytest.raises(NetworkError, match="IPv4 header length"):
+            parse_frame(0.0, self._frame(b0=0x41))
+
+
+_SEGMENTS = st.builds(
+    Packet, src_ip=st.integers(0, 2 ** 32 - 1),
+    dst_ip=st.integers(0, 2 ** 32 - 1), src_port=st.integers(0, 65535),
+    dst_port=st.integers(0, 65535), seq=st.integers(0, 2 ** 32 - 1),
+    ack=st.integers(0, 2 ** 32 - 1),
+    flags=st.sampled_from([TCPFlags.SYN, TCPFlags.SYN | TCPFlags.ACK,
+                           TCPFlags.ACK, TCPFlags.RST]),
+    payload_bytes=st.integers(0, 64),
+    options=st.sampled_from([None, TCPOptions(mss=1460, wscale=7),
+                             TCPOptions(mss=536, ts_val=9, ts_ecr=3)]))
+
+
+def _parses_or_rejects(frame: bytes) -> None:
+    """The decoder contract: a NetworkError, or a frame whose lengths
+    add up."""
+    try:
+        parsed = parse_frame(0.0, frame)
+    except NetworkError:
+        return
+    assert parsed.payload_bytes >= 0
+
+
+class TestParseFrameFuzz:
+    @given(st.binary(max_size=128))
+    def test_random_bytes(self, frame):
+        _parses_or_rejects(frame)
+
+    @given(_SEGMENTS, st.data())
+    def test_truncations(self, packet, data):
+        frame = packet_to_bytes(packet)
+        cut = data.draw(st.integers(0, len(frame)))
+        _parses_or_rejects(frame[:cut])
+
+    @given(_SEGMENTS, st.data())
+    def test_bit_flips(self, packet, data):
+        frame = bytearray(packet_to_bytes(packet))
+        for _ in range(data.draw(st.integers(1, 4))):
+            bit = data.draw(st.integers(0, len(frame) * 8 - 1))
+            frame[bit // 8] ^= 1 << (bit % 8)
+        _parses_or_rejects(bytes(frame))
 
 
 class TestLinkLoss:

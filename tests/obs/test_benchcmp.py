@@ -19,8 +19,6 @@ def _manifest() -> dict:
     hist = Histogram("handshake_latency.client")
     for value in (0.010, 0.020, 0.040, 0.080):
         hist.record(value)
-    wall = Histogram("callback_wall")
-    wall.record(0.001)
     return {
         "name": "smoke",
         "counters": {"server": {"SynsRecv": 100, "EstabNormal": 40}},
@@ -28,7 +26,6 @@ def _manifest() -> dict:
                  "sim_wall_ratio": 30.0},
         "histograms": {
             "handshake_latency.client": hist.as_payload(),
-            "callback_wall": wall.as_payload(),
         },
         "runner": {"histograms": {
             "handshake_latency.client": hist.as_payload()}},
@@ -99,13 +96,6 @@ class TestCompareManifest:
             f.metric == "histograms.handshake_latency.client.count"
             for f in findings)
 
-    def test_wall_time_histograms_skipped(self):
-        current = copy.deepcopy(_manifest())
-        current["histograms"]["callback_wall"]["quantiles"]["p95"] = 99.0
-        current["histograms"]["callback_wall"]["count"] = 7777
-        assert compare_manifest("smoke", _manifest(), current,
-                                Tolerance()) == []
-
     def test_runner_block_histograms_compared(self):
         current = copy.deepcopy(_manifest())
         block = current["runner"]["histograms"]["handshake_latency.client"]
@@ -143,12 +133,6 @@ class TestOneSidedEntries:
                       if f.metric == "histograms.puzzle_solve.client"]
         assert finding.severity == "note"
         assert "new histogram" in finding.message
-
-    def test_one_sided_wall_time_histogram_still_skipped(self):
-        current = copy.deepcopy(_manifest())
-        del current["histograms"]["callback_wall"]
-        assert compare_manifest("smoke", _manifest(), current,
-                                Tolerance()) == []
 
     def test_perf_key_missing_from_current_is_regression(self):
         current = copy.deepcopy(_manifest())
@@ -237,17 +221,42 @@ class TestCompareDirs:
         assert "lost benchmark coverage" in report.render()
 
     def test_new_manifest_is_note(self, tmp_path):
-        (tmp_path / "base").mkdir()
-        _write(tmp_path / "cur", "smoke", _manifest())
+        for side in ("base", "cur"):
+            _write(tmp_path / side, "smoke", _manifest())
+        _write(tmp_path / "cur", "extra", _manifest())
         report = compare_dirs(tmp_path / "base", tmp_path / "cur")
         assert report.passed
-        assert any(f.severity == "note" for f in report.findings)
+        (note,) = [f for f in report.findings if f.severity == "note"]
+        assert note.manifest == "extra"
 
     def test_session_rollup_skipped(self, tmp_path):
+        for side in ("base", "cur"):
+            _write(tmp_path / side, "smoke", _manifest())
         _write(tmp_path / "base", "session", {"manifests": ["a", "b"]})
-        (tmp_path / "cur").mkdir()
         report = compare_dirs(tmp_path / "base", tmp_path / "cur")
         assert report.passed
+        assert report.manifests == ["smoke"]
+
+    def test_nothing_compared_fails(self, tmp_path):
+        # Two empty directories, and two that share no manifest: a
+        # comparison that compares nothing must not pass.
+        (tmp_path / "base").mkdir()
+        (tmp_path / "cur").mkdir()
+        report = compare_dirs(tmp_path / "base", tmp_path / "cur")
+        assert not report.passed
+        assert "nothing compared" in report.render()
+        _write(tmp_path / "cur", "smoke", _manifest())
+        assert not compare_dirs(tmp_path / "base", tmp_path / "cur").passed
+
+    def test_prefix_matching_nothing_fails(self, tmp_path):
+        for side in ("base", "cur"):
+            _write(tmp_path / side, "smoke", _manifest())
+        assert compare_dirs(tmp_path / "base", tmp_path / "cur",
+                            prefix="smo").passed
+        report = compare_dirs(tmp_path / "base", tmp_path / "cur",
+                              prefix="micro_")
+        assert not report.passed
+        assert "no BENCH_micro_*.json manifest" in report.render()
 
     def test_regression_renders_fail_marker(self, tmp_path):
         _write(tmp_path / "base", "smoke", _manifest())

@@ -4,9 +4,10 @@ import io
 import json
 
 from repro.obs import (
+    LAYERS,
     CounterRegistry,
-    EngineProfiler,
     HandshakeTracer,
+    Profiler,
     SeriesRegistry,
 )
 from repro.obs.export import (
@@ -82,8 +83,8 @@ class TestJsonl:
         engine = Engine()
         engine.schedule(1.0, lambda: None)
         engine.run()
-        profiler = EngineProfiler()
-        profiler.record(lambda: None, 0.001)
+        with Profiler() as profiler:
+            engine.run()
         stream = io.StringIO()
         count = write_jsonl(stream, registry=_registry(),
                             tracer=_tracer(), engine=engine,
@@ -94,7 +95,12 @@ class TestJsonl:
         assert types.count("counter") == 3
         assert types.count("trace") == 2
         assert types.count("engine") == 1
-        assert types.count("profile") == 1
+        # One profile line per layer, in the profiler's layer order.
+        profile = [json.loads(line) for line in lines
+                   if json.loads(line)["type"] == "profile"]
+        assert [obj["layer"] for obj in profile] == list(LAYERS) + ["other"]
+        assert all(set(obj) == {"type", "layer", "calls", "self_seconds"}
+                   for obj in profile)
 
     def test_export_is_deterministic(self):
         assert counters_jsonl(_registry()) == counters_jsonl(_registry())
@@ -180,13 +186,6 @@ class TestPrometheus:
         assert "repro_engine_events_processed_total 1" in text
         assert "repro_engine_sim_seconds 2.0" in text
 
-    def test_profiler_metrics_escape_labels(self):
-        profiler = EngineProfiler()
-        profiler.record(lambda: None, 0.25)
-        text = prometheus_text(profiler=profiler)
-        assert "repro_engine_callback_calls_total" in text
-        assert 'kind="' in text
-
     def test_empty_inputs_render_empty(self):
         assert prometheus_text() == ""
 
@@ -204,13 +203,6 @@ class TestPrometheus:
         text = prometheus_text(hists={"empty": Histogram("empty")})
         assert 'repro_duration_seconds_count{name="empty"} 0' in text
         assert 'name="empty",quantile=' not in text
-
-    def test_profiler_callback_hist_joins_summary_family(self):
-        profiler = EngineProfiler()
-        profiler.record(lambda: None, 0.25)
-        text = prometheus_text(profiler=profiler, hists=_hists())
-        assert text.count("# TYPE repro_duration_seconds summary") == 1
-        assert 'name="callback_wall"' in text
 
     def test_series_gauge_family(self):
         text = prometheus_text(series=_series())
@@ -263,13 +255,6 @@ class TestEscapeLabel:
         text = prometheus_text(hists={hist.name: hist})
         # Quantile, _sum and _count lines all carry the escaped name.
         assert text.count('name="lat\\"ency\\\\x"') >= 3
-
-    def test_profiler_family_escapes_kind(self):
-        profiler = EngineProfiler()
-        profiler._kinds['odd"kind\\x'] = [1, 0.001]
-        text = prometheus_text(profiler=profiler)
-        assert ('repro_engine_callback_calls_total'
-                '{kind="odd\\"kind\\\\x"} 1' in text)
 
     def test_series_family_escapes_name(self):
         registry = SeriesRegistry()

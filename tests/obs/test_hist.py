@@ -9,7 +9,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.obs.hist import (
     CATALOGUE,
-    WALL_FAMILIES,
     Histogram,
     HistogramRegistry,
     describe,
@@ -218,6 +217,3 @@ class TestCatalogue:
         assert describe("handshake_latency.client") == \
             CATALOGUE["handshake_latency"]
         assert describe("mystery") == "mystery"
-
-    def test_wall_families_are_catalogued(self):
-        assert WALL_FAMILIES <= set(CATALOGUE)

@@ -1,201 +1,145 @@
-"""Attribution profiler, heap churn, flamegraph export, make_profiler."""
+"""The profiler's perf tooling: layer attribution rollups, heap churn,
+flamegraph export, the manifest payload and `perf profile --memory`."""
 
-import functools
+import gc
+import json
 
 import pytest
 
-from repro.errors import ExperimentError
-from repro.obs.perf import (
-    AttributionProfiler,
-    callback_module,
-    collapsed_stacks,
-    component_of,
-    component_of_frame,
+from repro.obs.profile import (
+    CORE_MODULE,
+    LAYERS,
+    OTHER,
+    Profiler,
     heap_churn,
-    make_profiler,
-    profile_payload,
+    layer_of,
     render_heap_churn,
-    write_flamegraph,
 )
-from repro.obs.profile import EngineProfiler
 from repro.sim.engine import Engine
 
 
+def _profiled_engine_run(events: int = 50) -> Profiler:
+    engine = Engine()
+    seen = []
+    for i in range(events):
+        engine.schedule(float(i + 1), seen.append, i)
+    engine.schedule(float(events + 9), engine.stop)
+    with Profiler() as profiler:
+        engine.run()
+    return profiler
+
+
 class TestComponentMapping:
+    """Which layer a module's functions, or a compiled-core method,
+    book to (:func:`~repro.obs.profile.layer_of`)."""
+
     @pytest.mark.parametrize("module,component", [
-        ("repro.tcp.listener", "tcp"),
-        ("repro.tcp", "tcp"),
+        ("repro.tcp.listener", "tcp.listener"),
+        ("repro.tcp.queues", "tcp.listener"),
+        ("repro.tcp", "tcp.stack"),
+        ("repro.tcp.connection", "tcp.stack"),
+        ("repro.tcp.syncache", "tcp.syncache"),
+        ("repro.tcp.syncookies", "tcp.syncookies"),
+        ("repro.tcp.overload", "tcp.overload"),
         ("repro.net.network", "net"),
         ("repro.puzzles.codec", "puzzles"),
         ("repro.crypto.sha256", "puzzles"),
         ("repro.obs.trace", "obs"),
         ("repro.metrics.series", "obs"),
-        ("repro.sim.engine", "engine"),
-        ("repro.sim.process", "engine"),
+        ("repro.sim.engine", "sim"),
+        ("repro.sim.process", "sim"),
         ("repro.hosts.server", "hosts"),
         ("repro.experiments.scenario", "experiments"),
-        ("repro.faults.injectors", "faults"),
         ("repro.runner.runner", "runner"),
-        ("builtins", "other"),
-        ("repro.tcpdump", "other"),   # prefix must match at a dot
+        ("repro.faults.injectors", OTHER),
+        ("builtins", OTHER),
+        ("repro.tcpdump", OTHER),   # prefix must match at a dot
     ])
     def test_component_of(self, module, component):
-        assert component_of(module) == component
+        assert layer_of(module) == component
 
     @pytest.mark.parametrize("module,qualname,component", [
-        # Compiled-core frames map by type: dispatch machinery is
-        # engine, the fabric fold rolls up beside the Python fabric.
+        # Compiled-core frames map by type: dispatch machinery is sim,
+        # the fabric fold books beside the Python fabric.
         ("repro.sim._cengine", "FabricPath.fold", "net"),
         ("repro.sim._cengine", "FabricPath", "net"),
-        ("repro.sim._cengine", "Engine.run", "engine"),
-        ("repro.sim._cengine", "Event.cancel", "engine"),
-        # Everything else defers to the module-prefix mapping.
+        ("repro.sim._cengine", "Engine.run", "sim"),
+        ("repro.sim._cengine", "Event.cancel", "sim"),
+        ("repro.sim._cengine", "Mystery.method", OTHER),
+        # Everything else defers to the module mapping.
         ("repro.net.network", "Network.send", "net"),
-        ("repro.tcp.listener", "Listener.handle_syn", "tcp"),
-        ("builtins", "print", "other"),
+        ("repro.tcp.listener", "ListenSocket.handle_syn", "tcp.listener"),
+        ("builtins", "print", OTHER),
     ])
     def test_component_of_frame(self, module, qualname, component):
-        assert component_of_frame(module, qualname) == component
-
-    def test_callback_module_unwraps_partials(self):
-        def f():
-            pass
-
-        nested = functools.partial(functools.partial(f, 1), 2)
-        assert callback_module(nested) == __name__
-
-    def test_callback_module_on_callable_instance(self):
-        class Callable:
-            __module__ = "some.module"
-
-            def __call__(self):
-                pass
-
-        assert callback_module(Callable()) == "some.module"
-
-    def test_callback_module_falls_back_to_type(self):
-        class NoModule:
-            def __call__(self):
-                pass
-
-        instance = NoModule()
-        # Instances report their class's __module__ either way; strip
-        # the attribute path entirely to hit the type fallback.
-        assert callback_module(instance) == __name__
+        assert layer_of(module, qualname) == component
 
 
 class TestAttributionProfiler:
-    def _profiled_engine(self, **kwargs):
-        engine = Engine()
-        profiler = AttributionProfiler(**kwargs)
-        engine.attach_profiler(profiler)
-        return engine, profiler
-
     def test_component_rollup_sums_match_per_kind(self):
-        engine, profiler = self._profiled_engine()
-        seen = []
-        for i in range(5):
-            engine.schedule(float(i + 1), seen.append, i)
-        engine.schedule(9.0, engine.stop)
-        engine.run()
-        rows = profiler.component_rows()
+        profiler = _profiled_engine_run()
+        rows = profiler.function_rows()
         assert rows
-        assert sum(count for _, count, _, _ in rows) == profiler.events
-        total_wall = sum(wall for _, _, wall, _ in rows)
-        assert total_wall == pytest.approx(profiler.wall_seconds)
-        # Fractions sum to ~1 over a non-empty profile.
-        assert sum(f for _, _, _, f in rows) == pytest.approx(1.0)
+        for layer in LAYERS:
+            calls, self_s = profiler.layers[layer]
+            assert calls == sum(row[3] for row in rows if row[0] == layer)
+            assert self_s == pytest.approx(
+                sum(row[4] for row in rows if row[0] == layer))
+        # Shares are of the profiled wall, which bounds what is booked.
+        total = sum(share for _, _, _, share in profiler.layer_rows())
+        assert 0.0 < total <= 1.0
 
     def test_engine_methods_attribute_to_engine_component(self):
-        engine, profiler = self._profiled_engine()
-        engine.schedule(1.0, engine.stop)
-        engine.run()
-        components = profiler.components_payload()
-        assert "engine" in components
-        assert components["engine"]["count"] == 1
+        profiler = _profiled_engine_run(events=1)
+        runs = [row for row in profiler.function_rows()
+                if row[2].endswith(".run")]
+        assert runs and all(row[0] == "sim" for row in runs)
+        assert profiler.layers["sim"][0] >= 1
 
     def test_compiled_fold_frames_roll_up_under_net(self):
-        # Stand-ins for the C core's frames: what matters is the
-        # (module, qualname) pair the profiler keys on.
-        profiler = AttributionProfiler()
+        # A flood cell with the fabric fold: whichever fold is adopted
+        # (the compiled FabricPath or the Python one) books to net.
+        from repro.experiments.scenario import Scenario, ScenarioConfig
 
-        def fold():
-            pass
-        fold.__module__ = "repro.sim._cengine"
-        fold.__qualname__ = "FabricPath.fold"
-
-        def dispatch():
-            pass
-        dispatch.__module__ = "repro.sim._cengine"
-        dispatch.__qualname__ = "Engine.run"
-
-        profiler.record(fold, 0.25)
-        profiler.record(fold, 0.25)
-        profiler.record(dispatch, 0.5)
-        components = profiler.components_payload()
-        assert components["net"]["count"] == 2
-        assert components["net"]["wall_seconds"] == pytest.approx(0.5)
-        assert components["engine"]["count"] == 1
-        # The flamegraph rows carry the same attribution.
-        rows = {(comp, kind) for comp, _mod, kind, _n, _w
-                in profiler.frame_rows()}
-        assert ("net", "FabricPath.fold") in rows
-        assert ("engine", "Engine.run") in rows
+        config = ScenarioConfig(time_scale=0.005, n_clients=1,
+                                n_attackers=1, attack_style="connect")
+        with Profiler() as profiler:
+            Scenario(config).run()
+        folds = [row for row in profiler.function_rows()
+                 if row[2] in ("FabricPath.fold", "fold_links")]
+        assert folds and all(row[0] == "net" for row in folds)
+        assert {row[1] for row in folds} <= {CORE_MODULE,
+                                             "repro.net.fabric"}
 
     def test_render_components_table(self):
-        engine, profiler = self._profiled_engine()
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        table = profiler.render_components()
-        assert "component" in table
-        assert "wall %" in table
-        assert profiler.render_components().count("\n") >= 1
+        table = _profiled_engine_run().render_layers()
+        header, *body = table.splitlines()
+        assert "self %" in header and "layer" in header
+        named = {line.split()[-1] for line in body[:-1]}
+        assert named == set(LAYERS) | {OTHER}
+        assert "booked of" in body[-1]
 
     def test_empty_profile_renders(self):
-        profiler = AttributionProfiler()
-        assert "(no callbacks profiled)" in profiler.render_components()
-        assert collapsed_stacks(profiler) == []
+        profiler = Profiler()
+        assert "booked of" in profiler.render_layers()
+        assert profiler.collapsed_stacks() == []
+        assert profiler.function_rows() == []
 
-    def test_memory_and_gc_accounting(self):
-        engine, profiler = self._profiled_engine(track_memory=True,
-                                                 track_gc=True)
+    def test_memory_and_gc_accounting(self, capsys, tmp_path):
+        from repro.cli import main
 
-        def churn():
-            # Allocate something measurable.
-            return [bytearray(1024) for _ in range(64)]
-
-        engine.schedule(1.0, churn)
-        profiler.start()
-        engine.run()
-        profiler.finish()
-        assert profiler.memory is not None
-        assert profiler.memory["peak_bytes"] > 0
-        assert profiler.gc_stats["collections"] >= 0
-        rendered = profiler.render_memory()
-        assert "tracemalloc" in rendered
-        assert "gc:" in rendered
-        import gc
-
-        assert profiler._gc_hook is None or profiler._gc_hook \
-            not in gc.callbacks
-
-    def test_finish_without_start_is_safe(self):
-        profiler = AttributionProfiler(track_memory=True, track_gc=True)
-        profiler.finish()     # no tracemalloc running: stays None
-        assert profiler.memory is None
-
-    def test_plain_profiler_untouched(self):
-        """The attribution layer must not change EngineProfiler's view."""
-        engine = Engine()
-        plain, attributed = EngineProfiler(), AttributionProfiler()
-        engine.attach_profiler(attributed)
-        seen = []
-        for i in range(4):
-            engine.schedule(float(i + 1), seen.append, i)
-        engine.run()
-        assert attributed.events == 4
-        assert list(attributed.snapshot()) == ["list.append"]
-        assert plain.events == 0
+        hooks = list(gc.callbacks)
+        assert main(["perf", "profile", "--time-scale", "0.005",
+                     "--clients", "1", "--attackers", "1", "--memory",
+                     "-o", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "(tracemalloc)" in out
+        assert "gc:" in out
+        body = json.loads(
+            (tmp_path / "BENCH_profile_syn_puzzles.json").read_text())
+        assert body["profile"]["memory"]["peak_bytes"] > 0
+        assert body["profile"]["gc"]["collections"] >= 0
+        assert gc.callbacks == hooks
 
 
 class TestHeapChurn:
@@ -220,86 +164,35 @@ class TestHeapChurn:
 
 
 class TestFlamegraph:
-    def _run_profiled(self):
-        engine = Engine()
-        profiler = AttributionProfiler()
-        engine.attach_profiler(profiler)
-        seen = []
-        for i in range(50):
-            engine.schedule(float(i + 1), seen.append, i)
-        engine.schedule(99.0, engine.stop)
-        engine.run()
-        return profiler
-
     def test_collapsed_stack_format(self):
-        profiler = self._run_profiled()
-        lines = collapsed_stacks(profiler)
+        lines = _profiled_engine_run().collapsed_stacks()
         assert lines
         for line in lines:
             stack, _, value = line.rpartition(" ")
             frames = stack.split(";")
-            # component;module;qualname — the three-deep speedscope view.
+            # layer;module;qualname — the three-deep speedscope view.
             assert len(frames) == 3
+            assert frames[0] in set(LAYERS) | {OTHER}
             assert int(value) > 0
 
-    def test_plain_profiler_single_frame_stacks(self):
-        engine = Engine()
-        profiler = EngineProfiler()
-        engine.attach_profiler(profiler)
-        seen = []
-        engine.schedule(1.0, seen.append, 0)
-        engine.run()
-        lines = collapsed_stacks(profiler)
-        if lines:     # sub-µs dispatch can legitimately round to zero
-            assert all(";" not in line.rpartition(" ")[0] or
-                       "append" in line for line in lines)
-
     def test_write_flamegraph(self, tmp_path):
-        profiler = self._run_profiled()
+        profiler = _profiled_engine_run()
         target = tmp_path / "deep" / "flame.txt"
-        count = write_flamegraph(profiler, target)
+        count = profiler.write_flamegraph(target)
         text = target.read_text()
         assert count == len([l for l in text.splitlines() if l])
-        assert "list.append" in text
-
-
-class TestMakeProfiler:
-    def test_specs(self):
-        assert make_profiler(False) is None
-        assert make_profiler(None) is None
-        assert type(make_profiler(True)) is EngineProfiler
-        assert type(make_profiler("basic")) is EngineProfiler
-        assert type(make_profiler("attribution")) is AttributionProfiler
-        full = make_profiler("attribution+mem")
-        assert isinstance(full, AttributionProfiler)
-        assert full.track_memory and full.track_gc
-
-    def test_passthrough_and_rejection(self):
-        profiler = AttributionProfiler()
-        assert make_profiler(profiler) is profiler
-        with pytest.raises(ExperimentError, match="unknown profiler"):
-            make_profiler("turbo")
+        assert ".run " in text
 
 
 class TestProfilePayload:
     def test_payload_blocks(self):
-        engine = Engine()
-        profiler = AttributionProfiler()
-        engine.attach_profiler(profiler)
-        engine.schedule(1.0, lambda: None)
-        engine.run()
-        payload = profile_payload(profiler, engine)
-        assert "kinds" in payload
-        assert "components" in payload
-        assert "heap_churn" in payload
-        assert payload["heap_churn"]["schedules"] == 1
-
-    def test_plain_profiler_payload_has_no_components(self):
-        profiler = EngineProfiler()
-        payload = profile_payload(profiler)
-        assert "kinds" in payload
-        assert "components" not in payload
-        assert "heap_churn" not in payload
+        profiler = _profiled_engine_run()
+        payload = profiler.as_payload()
+        assert set(payload) == {"wall_seconds", "layers", "functions"}
+        assert set(payload["layers"]) == set(LAYERS) | {OTHER}
+        assert [row["qualname"] for row in payload["functions"]] == \
+            [row[2] for row in profiler.function_rows()][:25]
+        json.dumps(payload)   # JSON-friendly as is
 
 
 class TestScenarioIntegration:
@@ -308,14 +201,10 @@ class TestScenarioIntegration:
         from repro.experiments.scenario import Scenario, ScenarioConfig
 
         config = ScenarioConfig(time_scale=0.01, n_clients=2,
-                                n_attackers=1, attack_style="syn",
-                                profile="attribution")
-        result = Scenario(config).run()
-        profiler = result.profiler
-        assert isinstance(profiler, AttributionProfiler)
-        assert profiler.events > 0
-        components = {name for name, _, _, _
-                      in profiler.component_rows()}
-        # A flood run must attribute work to the network and TCP layers.
-        assert "net" in components
-        assert "tcp" in components
+                                n_attackers=1, attack_style="syn")
+        with Profiler() as profiler:
+            Scenario(config).run()
+        # A flood run must book work to the network and listener layers.
+        assert profiler.layers["net"][1] > 0.0
+        assert profiler.layers["tcp.listener"][1] > 0.0
+        assert profiler.layers["puzzles"][0] > 0

@@ -218,6 +218,46 @@ class TestBenchCompareCommand:
                      str(tmp_path / "cur")]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+    def test_micro_prefix_round_trip(self, capsys, tmp_path):
+        assert main(["perf", "micro", "timer_churn", "--scale", "0.002",
+                     "--repeats", "1", "-o",
+                     str(tmp_path / "base")]) == 0
+        import shutil
+
+        shutil.copytree(tmp_path / "base", tmp_path / "cur")
+        # A scenario manifest on one side only is outside the prefix.
+        (tmp_path / "base" / "BENCH_smoke.json").write_text(
+            json.dumps({"name": "smoke", "counters": {}}))
+        assert main(["bench-compare", "--prefix", "micro_",
+                     str(tmp_path / "base"), str(tmp_path / "cur")]) == 0
+        capsys.readouterr()
+        # Perturb the work counters: the determinism gate must fire.
+        path = tmp_path / "cur" / "BENCH_micro_timer_churn.json"
+        body = json.loads(path.read_text())
+        body["counters"]["micro"]["scheduled"] += 1
+        path.write_text(json.dumps(body))
+        assert main(["bench-compare", "--prefix", "micro_",
+                     str(tmp_path / "base"), str(tmp_path / "cur")]) == 1
+        assert "[FAIL]" in capsys.readouterr().out
+
+    def test_empty_directories_fail(self, capsys, tmp_path):
+        (tmp_path / "base").mkdir()
+        (tmp_path / "cur").mkdir()
+        assert main(["bench-compare", str(tmp_path / "base"),
+                     str(tmp_path / "cur")]) == 1
+        assert "nothing compared" in capsys.readouterr().out
+
+    def test_prefix_matching_nothing_fails(self, capsys, tmp_path):
+        body = {"name": "smoke",
+                "counters": {"server": {"SynsRecv": 10}}}
+        for sub in ("base", "cur"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "BENCH_smoke.json").write_text(
+                json.dumps(body))
+        assert main(["bench-compare", "--prefix", "micro_",
+                     str(tmp_path / "base"), str(tmp_path / "cur")]) == 1
+        assert "nothing compared" in capsys.readouterr().out
+
 
 class TestPerfCommand:
     def test_micro_parser_defaults(self):
@@ -252,25 +292,6 @@ class TestPerfCommand:
         assert body["perf"]["events_per_second"] > 0
         assert body["counters"]["micro"]["scheduled"] > 0
 
-    def test_perf_compare_round_trip(self, capsys, tmp_path):
-        assert main(["perf", "micro", "timer_churn", "--scale", "0.002",
-                     "--repeats", "1", "-o",
-                     str(tmp_path / "base")]) == 0
-        import shutil
-
-        shutil.copytree(tmp_path / "base", tmp_path / "cur")
-        assert main(["perf", "compare", str(tmp_path / "base"),
-                     str(tmp_path / "cur")]) == 0
-        capsys.readouterr()
-        # Perturb the work counters: the determinism gate must fire.
-        path = tmp_path / "cur" / "BENCH_micro_timer_churn.json"
-        body = json.loads(path.read_text())
-        body["counters"]["micro"]["scheduled"] += 1
-        path.write_text(json.dumps(body))
-        assert main(["perf", "compare", str(tmp_path / "base"),
-                     str(tmp_path / "cur")]) == 1
-        assert "[FAIL]" in capsys.readouterr().out
-
     def test_profile_small_run(self, capsys, tmp_path):
         flame = tmp_path / "flame.txt"
         manifest_dir = tmp_path / "manifests"
@@ -279,19 +300,19 @@ class TestPerfCommand:
                      "--flame", str(flame),
                      "-o", str(manifest_dir)]) == 0
         out = capsys.readouterr().out
-        assert "per-component attribution:" in out
+        assert "self time by layer:" in out
         assert "heap churn:" in out
-        assert "hottest callback kinds" in out
+        assert "top functions by self time" in out
         text = flame.read_text()
         assert text.strip()
-        # Collapsed-stack lines: component;module;qualname <int>
+        # Collapsed-stack lines: layer;module;qualname <int>
         first = text.splitlines()[0]
         stack, _, value = first.rpartition(" ")
         assert len(stack.split(";")) == 3
         assert int(value) > 0
         body = json.loads(
             (manifest_dir / "BENCH_profile_syn_puzzles.json").read_text())
-        assert "components" in body["profile"]
+        assert body["profile"]["layers"]["net"]["self_seconds"] > 0
         assert "heap_churn" in body["profile"]
 
     def test_profile_chrome_export(self, tmp_path):

@@ -46,7 +46,8 @@ from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.summary import run_scenario_summary
 
 run_scenario_summary(ScenarioConfig(time_scale=0.01, attack_style="connect"))
-loaded = sorted(name for name in ("scipy", "networkx") if name in sys.modules)
+loaded = sorted(name for name in ("scipy", "networkx", "cProfile", "pstats")
+                if name in sys.modules)
 assert not loaded, f"simulator import path loaded {loaded}"
 
 game = repro.ClientGame.homogeneous(15, 140630.0, 1100.0)
@@ -60,9 +61,10 @@ print("ok")
 class TestImportFootprint:
     def test_simulator_leaves_scipy_and_networkx_unloaded(self):
         """Importing the package and running a scenario must not load
-        the game solvers' scipy or any graph library; the solvers still
-        load scipy when they first run. A fresh interpreter, because this
-        test process has long since imported both."""
+        the game solvers' scipy, any graph library or the profiler's
+        cProfile/pstats; the solvers still load scipy when they first
+        run. A fresh interpreter, because this test process has long
+        since imported them."""
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_FOOTPRINT_PROBE],
             capture_output=True, text=True, timeout=120)
