@@ -50,8 +50,10 @@
 #  12. the benchmark's correctness gate: one short `perfbench/run.py` run
 #      per workload at seed 1 must pass every cell's checks, including
 #      the model digests pinned in perfbench/digests.json, so a speed-up
-#      that changes what the simulator computes fails here; a run with a
-#      fault injected into one cell must fail (the negative control).
+#      that changes what the simulator computes fails here; so must a
+#      `syn_flood` run under REPRO_ENGINE=py, the per-packet flood
+#      pipeline a host without a C compiler runs; a run with a fault
+#      injected into one cell must fail (the negative control).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -384,6 +386,12 @@ for workload in syn_flood conn_flood overload_ladder; do
     }
     echo "perfbench: $workload correct, digests as pinned"
 done
+REPRO_ENGINE=py python perfbench/run.py --workload syn_flood --seed 1 \
+        --seconds 1 --trace 0 > /dev/null || {
+    echo "perfbench: syn_flood failed its checks under REPRO_ENGINE=py" >&2
+    exit 1
+}
+echo "perfbench: syn_flood correct under REPRO_ENGINE=py"
 if python perfbench/run.py --workload conn_flood --seed 1 --seconds 1 \
         --trace 0 --inject-fault cookies > /dev/null 2>&1; then
     echo "perfbench: a fault injected into the cookies cell passed" >&2

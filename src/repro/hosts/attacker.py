@@ -21,11 +21,10 @@ from repro.errors import PortsExhaustedError, SimulationError
 from repro.hosts.host import Host
 from repro.metrics.connections import ConnectionTracker
 from repro.net.addresses import SpoofingPool
-from repro.net.packet import (FLAG_ACK, FLAG_SYN, Packet, TCPOptions,
-                              mss_options)
+from repro.net.floodpath import syn_packet
+from repro.net.packet import FLAG_ACK, Packet, TCPOptions
 from repro.sim.process import PeriodicProcess
 from repro.tcp.connection import ClientConnConfig, ClientConnection
-from repro.tcp.constants import DEFAULT_MSS
 
 
 @dataclass
@@ -79,10 +78,10 @@ class SynFlooder:
         self._interval = 1.0 / config.rate
         self._running = False
         self._event = None
-        # Flyweight SYN pipeline (repro.net.floodpath), resolved lazily
-        # on the first fire so the server can register after this bot is
-        # built. None = unresolved, False = unavailable (batched path
-        # off, or no listener at the target).
+        # The compiled firing loop (repro.net.floodpath), resolved on the
+        # first fire so the server can register after this bot is built.
+        # None = unresolved, False = unavailable (compiled core not
+        # adopted, or no listener at the target).
         self._fast = None
 
     def start(self, delay: float = 0.0) -> None:
@@ -100,46 +99,28 @@ class SynFlooder:
     def _fire(self) -> None:
         if not self._running:
             return
-        host = self.host
-        rng = host.rng
-        grb = rng.getrandbits
-        # Inlined SpoofingPool.draw and random.randrange(1024, 65536):
-        # both rejection loops consume exactly the same getrandbits draws
-        # as the stdlib's _randbelow, so the RNG stream — and every
-        # downstream counter — is unchanged while skipping three Python
-        # frames per SYN.
-        pool = self._pool
-        span = pool._span
-        bits = pool._span_bits
-        value = grb(bits)
-        while value >= span:
-            value = grb(bits)
-        src_ip = pool._base + value
-        port = grb(16)
-        while port >= 64512:
-            port = grb(16)
-        seq = grb(32)
         fast = self._fast
         if fast is None:
-            fast = host.network.syn_fast_path(
-                host, self.config.server_ip, self.config.server_port)
-            fast = fast if fast is not None else False
-            self._fast = fast
-        if fast is not False and fast.send(src_ip, 1024 + port, seq):
-            self.stats.syns_sent += 1
-        else:
-            packet = Packet(
-                src_ip=src_ip,
-                dst_ip=self.config.server_ip,
-                src_port=1024 + port,
-                dst_port=self.config.server_port,
-                seq=seq,
-                flags=FLAG_SYN,
-                options=mss_options(DEFAULT_MSS))
-            host.send(packet)
-            self.stats.syns_sent += 1
+            fast = self.host.network.syn_fast_path(self)
+            self._fast = fast = fast if fast is not None else False
+        if fast is not False:
+            # This fire, in C, with the same draws, send and reschedule
+            # as below; the engine then calls the compiled loop directly
+            # until the next start().
+            fast.fire()
+            return
+        rng = self.host.rng
+        self._send_packet(self._pool.draw(), rng.randrange(1024, 65536),
+                          rng.getrandbits(32))
+        self.stats.syns_sent += 1
         if self._running:
-            self._event = host.engine.schedule(self._interval, self._fire)
+            self._event = self.host.engine.schedule(self._interval,
+                                                    self._fire)
+
+    def _send_packet(self, src_ip: int, src_port: int, seq: int) -> None:
+        """Send one spoofed SYN through the per-packet pipeline."""
+        self.host.send(syn_packet(src_ip, self.config.server_ip, src_port,
+                                  self.config.server_port, seq))
 
 
 class ConnectionFlooder:

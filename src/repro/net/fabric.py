@@ -32,12 +32,12 @@ installed, or the size would raise): callers then re-fold through
 
 ``REPRO_FABRIC`` selects the flood pipeline:
 
-* ``auto`` (default, also when unset or empty) — the batched flyweight
-  fast paths of :mod:`repro.net.floodpath`, folding in C when the
-  compiled fold was adopted and in Python otherwise;
-* ``packet`` — the historical per-packet pipeline with Python folds.
-  The differential suite uses it to prove the batched path
-  byte-identical.
+* ``auto`` (default, also when unset or empty) — the compiled fold, and
+  with it the compiled flood paths of :mod:`repro.net.floodpath`, when
+  this build's engine and fold pass their gates; the per-packet
+  pipeline with Python folds otherwise;
+* ``packet`` — the per-packet pipeline with Python folds, always. It is
+  the oracle the differential suite holds the compiled paths to.
 
 Any other value raises :class:`~repro.errors.SimulationError` at import.
 """
@@ -152,7 +152,8 @@ if _MODE not in _FABRIC_MODES:
     raise SimulationError(
         f"REPRO_FABRIC={os.environ['REPRO_FABRIC']!r} is not one of "
         f"{', '.join(_FABRIC_MODES)}")
-#: Whether the flyweight flood fast paths (repro.net.floodpath) engage.
+#: Whether the compiled fold (and with it the compiled flood paths of
+#: repro.net.floodpath) may be adopted.
 BATCHED = _MODE == "auto"
 CFabricPath = None
 FabricPath = PyFabricPath

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.errors import NetworkError
-from repro.net.fabric import BATCHED, FabricPath, fold_links
+from repro.net.fabric import FabricPath, fold_links
 from repro.net.packet import Packet
 from repro.net.topology import Topology
 from repro.sim.engine import Engine
@@ -102,9 +102,9 @@ class Network:
         delivered (``rx``) adds its ``size_bytes``, and its
         ``payload_bytes`` when non-zero (``tx_goodput``/``rx_goodput``),
         with ``BinnedSeries.add``'s arithmetic written out where the
-        packet is handled — here and in :mod:`repro.net.floodpath`'s
-        fast paths — so no Python call runs per packet and the fast
-        paths stay engaged.
+        packet is handled — here, and in C by the compiled flood paths
+        of :mod:`repro.net.floodpath` — so no Python call runs per
+        packet and the compiled paths stay engaged.
         """
         self._tx_meters.setdefault(throughput.address, []).append(
             (throughput.tx, throughput.tx_goodput))
@@ -239,31 +239,20 @@ class Network:
         host.receive(packet)
 
     # ------------------------------------------------------------------
-    # Flyweight fast paths (see repro.net.floodpath)
+    # Compiled flood fast paths (see repro.net.floodpath)
     # ------------------------------------------------------------------
-    def syn_fast_path(self, src: Attachable, dst_ip: int, dst_port: int):
-        """A :class:`~repro.net.floodpath.SynFastPath` for bulk spoofed
-        SYNs from *src* to the listener at (dst_ip, dst_port), or None
-        when the batched path is disabled or the target is not (yet) a
-        registered host with a listener on that port."""
-        if not BATCHED:
-            return None
-        dst_host = self._hosts_by_ip.get(dst_ip)
-        if dst_host is None:
-            return None
-        stack = getattr(dst_host, "tcp", None)
-        if stack is None or stack.listener(dst_port) is None:
-            return None
+    def syn_fast_path(self, flooder):
+        """The compiled firing loop for *flooder*'s spoofed SYNs, or None
+        when the compiled core is not adopted or the target is not (yet)
+        a registered host with a listener on that port."""
         from repro.net.floodpath import SynFastPath
 
-        return SynFastPath(self, src, dst_host, dst_port)
+        return SynFastPath(self, flooder)
 
     def reply_fast_path(self, host: Attachable):
-        """A :class:`~repro.net.floodpath.ReplyFastPath` for *host*'s
-        replies to unregistered (spoofed) addresses, or None when the
-        batched path is disabled."""
-        if not BATCHED:
-            return None
+        """The compiled path for *host*'s replies to unregistered
+        (spoofed) addresses, or None when the compiled core is not
+        adopted."""
         from repro.net.floodpath import ReplyFastPath
 
         return ReplyFastPath(self, host)

@@ -59,7 +59,10 @@ def packet_to_bytes(packet: Packet, payload_fill: bytes = b"x") -> bytes:
 
     Aggregated burst packets (``extra_frames > 0``) are rendered as a
     single frame carrying the full payload — pcap frames may exceed the
-    MSS; consumers treat it like a GRO'd capture.
+    MSS; consumers treat it like a GRO'd capture. A datagram longer than
+    the IPv4 total-length field can say (65,535 bytes) gets total length
+    0, the convention of TSO captures: the datagram runs to the end of
+    the frame.
     """
     options = _tcp_options_bytes(packet)
     data_offset_words = 5 + len(options) // 4
@@ -71,9 +74,11 @@ def packet_to_bytes(packet: Packet, payload_fill: bytes = b"x") -> bytes:
         data_offset_words << 4, int(packet.flags) & 0x3F,
         65535, 0, 0) + options + payload
     total_length = 20 + len(tcp)
+    if total_length > 0xFFFF:
+        total_length = 0
     ip = struct.pack(
         "!BBHHHBBHII",
-        (4 << 4) | 5, 0, total_length & 0xFFFF, 0, 0,
+        (4 << 4) | 5, 0, total_length, 0, 0,
         64, 6, 0,
         packet.src_ip & 0xFFFFFFFF, packet.dst_ip & 0xFFFFFFFF)
     return ip + tcp
@@ -162,7 +167,10 @@ def parse_frame(time: float, frame: bytes) -> ParsedFrame:
 
     Any malformed frame raises :class:`~repro.errors.NetworkError`: a
     header length below the minimum or past the frame's end is rejected
-    before any field behind it is read.
+    before any field behind it is read. The datagram ends where its IPv4
+    total length says, so bytes after it (link padding) are not payload;
+    a total length shorter than the two headers or longer than the frame
+    is rejected, and 0 means the datagram runs to the end of the frame.
     """
     if len(frame) < 40:
         raise NetworkError(f"frame too short: {len(frame)} bytes")
@@ -172,6 +180,11 @@ def parse_frame(time: float, frame: bytes) -> ParsedFrame:
     if ihl < 20 or ihl + 20 > len(frame):
         raise NetworkError(f"bad IPv4 header length {ihl} in a "
                            f"{len(frame)}-byte frame")
+    total_length, = struct.unpack("!H", frame[2:4])
+    if total_length > len(frame):
+        raise NetworkError(f"IPv4 total length {total_length} past the "
+                           f"{len(frame)}-byte frame")
+    end = total_length or len(frame)
     src_ip, dst_ip = struct.unpack("!II", frame[12:20])
     tcp = frame[ihl:]
     src_port, dst_port, seq, ack = struct.unpack("!HHII", tcp[:12])
@@ -179,6 +192,9 @@ def parse_frame(time: float, frame: bytes) -> ParsedFrame:
     if data_offset < 20 or data_offset > len(tcp):
         raise NetworkError(f"bad TCP data offset {data_offset} in a "
                            f"{len(tcp)}-byte segment")
+    if ihl + data_offset > end:
+        raise NetworkError(f"IPv4 total length {total_length} is shorter "
+                           f"than the {ihl + data_offset} header bytes")
     flags = tcp[13]
     raw_options = tcp[20:data_offset]
     options: List[ParsedOption] = []
@@ -198,7 +214,7 @@ def parse_frame(time: float, frame: bytes) -> ParsedFrame:
         options.append(ParsedOption(kind=kind,
                                     data=raw_options[i:i + length]))
         i += length
-    payload = len(tcp) - data_offset
+    payload = end - ihl - data_offset
     return ParsedFrame(time=time, src_ip=src_ip, dst_ip=dst_ip,
                        src_port=src_port, dst_port=dst_port, seq=seq,
                        ack=ack, flags=flags, options=tuple(options),

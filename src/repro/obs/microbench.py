@@ -41,7 +41,10 @@ The built-in suite covers the hot paths the optimization PRs will touch:
   is pinned by the snapshot checksum);
 * ``client_handshake`` — connect attempts through the full client and
   server stacks on a two-host network, each answered with a SYN cookie
-  and installed in the accept queue (the connection flood's path).
+  and installed in the accept queue (the connection flood's path);
+* ``syn_ingress`` — spoofed SYNs from one flooder into a SYN-cookie
+  listener whose one listen slot is held (the SYN flood's path: the
+  bot's draw, delivery, triage and a blackholed reply per SYN).
 """
 
 from __future__ import annotations
@@ -591,6 +594,63 @@ def _bench_client_handshake(iterations: int) -> Dict[str, int]:
         "established": listener.stats.established_total(),
         "packets_delivered": network.packets_delivered,
         "events_processed": engine.events_processed,
+    }
+
+
+@register("syn_ingress",
+          "spoofed SYNs from one flooder into a SYN-cookie listener whose "
+          "one listen slot is held: the bot's draw, the path fold, "
+          "delivery, triage, and a blackholed cookie SYN-ACK per SYN",
+          default_iterations=20_000)
+def _bench_syn_ingress(iterations: int) -> Dict[str, int]:
+    from repro.hosts.attacker import AttackerConfig, SynFlooder
+    from repro.hosts.cpu import CPU_CATALOG, SERVER_CPU
+    from repro.hosts.host import Host
+    from repro.metrics.throughput import HostThroughput
+    from repro.net.addresses import AddressAllocator
+    from repro.net.network import Network
+    from repro.net.packet import FLAG_SYN, Packet, mss_options
+    from repro.net.topology import deter_topology
+    from repro.sim.engine import Engine
+    from repro.tcp.constants import DEFAULT_MSS, DefenseMode
+    from repro.tcp.listener import DefenseConfig
+
+    engine = Engine()
+    network = Network(engine, deter_topology(0, 1))
+    allocator = AddressAllocator()
+    server = Host("server", allocator.allocate(), engine, network,
+                  SERVER_CPU, random.Random(1))
+    bot = Host("attacker0", allocator.allocate(), engine, network,
+               next(iter(CPU_CATALOG.values())), random.Random(3))
+    # Throughput meters on both ends, as every scenario installs them.
+    for host in (server, bot):
+        network.add_throughput_tap(HostThroughput(host.address))
+    listener = server.tcp.listen(80, DefenseConfig(
+        mode=DefenseMode.SYNCOOKIES, backlog=1))
+    # A spoofed half-open holds the one listen slot, so every SYN is
+    # answered with a cookie toward its spoofed source.
+    listener.handle_syn(Packet(
+        src_ip=0xC6336401, dst_ip=server.address, src_port=40000,
+        dst_port=80, seq=1, flags=FLAG_SYN,
+        options=mss_options(DEFAULT_MSS)))
+    rate = 10_000.0
+    flooder = SynFlooder(bot, AttackerConfig(server_ip=server.address,
+                                             rate=rate))
+    flooder.start()
+    # Fires land at k / rate: stop between the last one and the next,
+    # then let the SYNs in flight arrive.
+    engine.run(until=(iterations - 0.5) / rate)
+    flooder.stop()
+    engine.run()
+    values = server.mib._values
+    return {
+        "syns_sent": flooder.stats.syns_sent,
+        "syns_received": values.get("SynsRecv", 0),
+        "cookies_sent": values.get("SynCookiesSent", 0),
+        "packets_blackholed": network.packets_blackholed,
+        "events_processed": engine.events_processed,
+        # Pins the bot's draw stream.
+        "next_bot_draw": bot.rng.getrandbits(32),
     }
 
 

@@ -15,9 +15,12 @@ they cover) plus ``other``::
 ``repro`` function that called it, using the per-caller time cProfile
 records; a foreign function called by another foreign function is split
 over that caller's callers in proportion to its cumulative time under
-each. The compiled core's methods book by type: ``FabricPath`` to
-``net``, ``Engine`` and ``Event`` to ``sim``. Call counts are the calls of
-each layer's own functions; foreign calls are counted nowhere.
+each. The compiled core's methods book by type when Python calls them:
+``FabricPath``, ``SynFastPath`` and ``ReplyFastPath`` to ``net``,
+``Engine`` and ``Event`` to ``sim``. Work the engine dispatches in C
+(a compiled flood loop's fires and deliveries) is invisible to cProfile
+and books to ``sim``, as it does in the ledger. Call counts are the
+calls of each layer's own functions; foreign calls are counted nowhere.
 
 The tables read alike to the ledger's, with one known skew: cProfile's
 cost per call inflates Python frames relative to the compiled dispatch
@@ -70,7 +73,8 @@ MODULE_LAYERS: Dict[str, str] = {
 #: The compiled core, and the layer of each of its types' methods.
 CORE_MODULE = "repro.sim._cengine"
 CORE_TYPE_LAYERS: Dict[str, str] = {
-    "Engine": "sim", "Event": "sim", "FabricPath": "net"}
+    "Engine": "sim", "Event": "sim", "FabricPath": "net",
+    "SynFastPath": "net", "ReplyFastPath": "net"}
 
 #: Functions a manifest's ``profile.functions`` lists, by self time.
 PAYLOAD_FUNCTIONS = 25

@@ -8,6 +8,13 @@
  * import and only then adopts it, so any semantic drift between the two
  * disqualifies this one rather than corrupting runs.
  *
+ * The same module carries the fabric's compiled path fold (FabricPath,
+ * gated by repro/net/fabric.py) and, adopted with it, the spoofed-SYN
+ * flood's plumbing around listener triage: a flooder's firing loop and
+ * SYN delivery (SynFastPath) and its blackholed replies (ReplyFastPath).
+ * The per-packet Python pipeline is their oracle; see the comment above
+ * SynFastPath for what they decline.
+ *
  * Invariants:
  *   - events fire in exact (time, seq) order; seq is the schedule counter.
  *     tick(t) = (long long)(t * inv_gran) is monotone in t, buckets are
@@ -28,6 +35,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -1245,7 +1253,7 @@ static PyTypeObject Engine_Type = {
 
 static PyObject *s_next_free, *s_rate_bps, *s_delay, *s_buffer_bytes,
     *s_loss_rate, *s_rng, *s_fault, *s_packets_sent, *s_packets_dropped,
-    *s_packets_lost, *s_bytes_sent, *s_random, *s_offer;
+    *s_packets_lost, *s_bytes_sent, *s_random, *s_offer, *s_dict;
 
 typedef struct {
     PyObject *link;          /* strong */
@@ -1259,16 +1267,24 @@ typedef struct {
     PyObject *links;         /* tuple of links, exposed as .links */
 } FabricPathObject;
 
-static int
-fabric_dict_double(PyObject *dict, PyObject *key, double *out)
+/* dict[key] as a borrowed reference; AttributeError when it is absent
+ * (the dicts are instance __dict__s). */
+static PyObject *
+dict_item(PyObject *dict, PyObject *key)
 {
     PyObject *value = PyDict_GetItemWithError(dict, key);
-    if (!value) {
-        if (!PyErr_Occurred())
-            PyErr_Format(PyExc_AttributeError,
-                         "link object missing attribute %U", key);
+    if (!value && !PyErr_Occurred())
+        PyErr_Format(PyExc_AttributeError, "object missing attribute %U",
+                     key);
+    return value;
+}
+
+static int
+dict_double(PyObject *dict, PyObject *key, double *out)
+{
+    PyObject *value = dict_item(dict, key);
+    if (!value)
         return -1;
-    }
     *out = PyFloat_AsDouble(value);
     if (*out == -1.0 && PyErr_Occurred())
         return -1;
@@ -1276,7 +1292,7 @@ fabric_dict_double(PyObject *dict, PyObject *key, double *out)
 }
 
 static int
-fabric_dict_set_double(PyObject *dict, PyObject *key, double value)
+dict_set_double(PyObject *dict, PyObject *key, double value)
 {
     PyObject *obj = PyFloat_FromDouble(value);
     if (!obj)
@@ -1287,15 +1303,11 @@ fabric_dict_set_double(PyObject *dict, PyObject *key, double value)
 }
 
 static int
-fabric_dict_incr(PyObject *dict, PyObject *key, long long delta)
+dict_incr(PyObject *dict, PyObject *key, long long delta)
 {
-    PyObject *cur = PyDict_GetItemWithError(dict, key);
-    if (!cur) {
-        if (!PyErr_Occurred())
-            PyErr_Format(PyExc_AttributeError,
-                         "link object missing attribute %U", key);
+    PyObject *cur = dict_item(dict, key);
+    if (!cur)
         return -1;
-    }
     long long value = PyLong_AsLongLong(cur);
     if (value == -1 && PyErr_Occurred())
         return -1;
@@ -1305,6 +1317,21 @@ fabric_dict_incr(PyObject *dict, PyObject *key, long long delta)
     int rc = PyDict_SetItem(dict, key, next);
     Py_DECREF(next);
     return rc;
+}
+
+/* An object's instance __dict__ (a new reference), which its Python
+ * attribute reads and writes go through once it has been fetched. */
+static PyObject *
+instance_dict(PyObject *obj)
+{
+    PyObject *dict = PyObject_GetAttr(obj, s_dict);
+    if (dict && !PyDict_Check(dict)) {
+        Py_DECREF(dict);
+        PyErr_Format(PyExc_TypeError, "%.200s __dict__ is not a dict",
+                     Py_TYPE(obj)->tp_name);
+        return NULL;
+    }
+    return dict;
 }
 
 static int
@@ -1327,13 +1354,7 @@ FabricPath_init(FabricPathObject *self, PyObject *args, PyObject *kwds)
     }
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *link = PyTuple_GET_ITEM(links, i);
-        PyObject *dict = PyObject_GetAttrString(link, "__dict__");
-        if (dict && !PyDict_Check(dict)) {
-            Py_DECREF(dict);
-            dict = NULL;
-            PyErr_SetString(PyExc_TypeError,
-                            "link __dict__ is not a dict");
-        }
+        PyObject *dict = instance_dict(link);
         if (!dict) {
             for (Py_ssize_t j = 0; j < i; j++) {
                 Py_CLEAR(slots[j].link);
@@ -1399,21 +1420,15 @@ FabricPath_dealloc(FabricPathObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* fold(now, size_bytes) on a C double: the flood paths call it
+ * directly. Returns a new reference (the arrival float, None or
+ * NotImplemented), NULL on error. */
 static PyObject *
-FabricPath_fold(FabricPathObject *self, PyObject *const *args,
-                Py_ssize_t nargs)
+fabric_fold(FabricPathObject *self, double now, PyObject *size_obj)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "fold(now, size_bytes) takes exactly 2 arguments");
-        return NULL;
-    }
-    double now = PyFloat_AsDouble(args[0]);
-    if (now == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (!PyLong_Check(args[1]))
+    if (!PyLong_Check(size_obj))
         Py_RETURN_NOTIMPLEMENTED;
-    long long size = PyLong_AsLongLong(args[1]);
+    long long size = PyLong_AsLongLong(size_obj);
     if (size == -1 && PyErr_Occurred())
         return NULL;
     if (size <= 0)
@@ -1446,16 +1461,16 @@ FabricPath_fold(FabricPathObject *self, PyObject *const *args,
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *dict = self->slots[i].dict;
         double next_free, rate, buffer, loss;
-        if (fabric_dict_double(dict, s_next_free, &next_free) < 0
-            || fabric_dict_double(dict, s_rate_bps, &rate) < 0
-            || fabric_dict_double(dict, s_buffer_bytes, &buffer) < 0
-            || fabric_dict_double(dict, s_loss_rate, &loss) < 0)
+        if (dict_double(dict, s_next_free, &next_free) < 0
+            || dict_double(dict, s_rate_bps, &rate) < 0
+            || dict_double(dict, s_buffer_bytes, &buffer) < 0
+            || dict_double(dict, s_loss_rate, &loss) < 0)
             return NULL;
         double waiting = next_free - arrival;
         if (waiting < 0.0)
             waiting = 0.0;
         if (waiting * rate / 8.0 + dsize > buffer) {
-            if (fabric_dict_incr(dict, s_packets_dropped, 1) < 0)
+            if (dict_incr(dict, s_packets_dropped, 1) < 0)
                 return NULL;
             Py_RETURN_NONE;
         }
@@ -1477,8 +1492,8 @@ FabricPath_fold(FabricPathObject *self, PyObject *const *args,
                 return NULL;
             if (draw < loss) {
                 /* The frame still occupies air time before being lost. */
-                if (fabric_dict_incr(dict, s_packets_lost, 1) < 0
-                    || fabric_dict_set_double(dict, s_next_free,
+                if (dict_incr(dict, s_packets_lost, 1) < 0
+                    || dict_set_double(dict, s_next_free,
                                               start + dsize * 8.0
                                               / rate) < 0)
                     return NULL;
@@ -1486,16 +1501,31 @@ FabricPath_fold(FabricPathObject *self, PyObject *const *args,
             }
         }
         next_free = start + dsize * 8.0 / rate;
-        if (fabric_dict_set_double(dict, s_next_free, next_free) < 0
-            || fabric_dict_incr(dict, s_packets_sent, 1) < 0
-            || fabric_dict_incr(dict, s_bytes_sent, size) < 0)
+        if (dict_set_double(dict, s_next_free, next_free) < 0
+            || dict_incr(dict, s_packets_sent, 1) < 0
+            || dict_incr(dict, s_bytes_sent, size) < 0)
             return NULL;
         double delay;
-        if (fabric_dict_double(dict, s_delay, &delay) < 0)
+        if (dict_double(dict, s_delay, &delay) < 0)
             return NULL;
         arrival = next_free + delay;
     }
     return PyFloat_FromDouble(arrival);
+}
+
+static PyObject *
+FabricPath_fold(FabricPathObject *self, PyObject *const *args,
+                Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fold(now, size_bytes) takes exactly 2 arguments");
+        return NULL;
+    }
+    double now = PyFloat_AsDouble(args[0]);
+    if (now == -1.0 && PyErr_Occurred())
+        return NULL;
+    return fabric_fold(self, now, args[1]);
 }
 
 static PyObject *
@@ -1538,6 +1568,667 @@ static PyTypeObject FabricPath_Type = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Spoofed-SYN flood paths                                            */
+/* ------------------------------------------------------------------ */
+/* The plumbing around listener triage in a spoofed-SYN flood;
+ * repro/net/floodpath.py builds both types.
+ *
+ * SynFastPath is one SynFlooder's firing loop. fire() makes the bot's
+ * draws with the same rng.getrandbits calls as SpoofingPool.draw(),
+ * randrange(1024, 65536) and getrandbits(32); folds the SYN through the
+ * bot's cached path and schedules one delivery at its arrival; counts
+ * it in AttackStats.syns_sent; and reschedules itself last, so event
+ * ids and times are the Python loop's. The delivery counts the SYN in
+ * the network, the server's rx meters, the stack and the MIB, then
+ * hands ListenSocket.handle_syn one reused SYN packet (the flyweight:
+ * the listener copies every field it keeps), so triage keeps its one
+ * implementation, in Python.
+ *
+ * ReplyFastPath.send(size, dst_ip, dst_port) -> bool accounts one
+ * SYN-ACK to an unregistered (spoofed) address: tx meters, the uplink
+ * fold, and the blackhole or drop count.
+ *
+ * Both read and write the Python objects' own state (instance
+ * __dict__s, the engine's queues), so they interleave freely with the
+ * per-packet pipeline. Where that pipeline would do something they do
+ * not model, they touch nothing and decline to the existing Python code
+ * with a materialized packet: a capture tap or packet fault hook, an
+ * instance-level send or receive override, a metered spoofed source, a
+ * flow owned by a live connection, a link fault (the fold's
+ * NotImplemented). */
+
+static PyObject *s_running, *s_event, *s_syns_sent, *s_send, *s_receive,
+    *s_packet_fault, *s_taps, *s_tx_meters, *s_rx_meters, *s_hosts_by_ip,
+    *s_packets_delivered, *s_packets_blackholed, *s_segments_received,
+    *s_in_segs, *s_net_deliver, *s_src_ip, *s_src_port, *s_seq,
+    *s_sent_at, *s_t0, *s_bin_width, *s_bins, *s_total, *s_dst_ip,
+    *s_dst_port, *s_size_bytes, *s_tcp_servers, *s_tcp_clients,
+    *s_mib_values, *s_address;
+static PyObject *bits16, *bits32, *zero_float;
+
+static int
+dict_truth(PyObject *dict, PyObject *key)
+{
+    PyObject *value = dict_item(dict, key);
+    return value ? PyObject_IsTrue(value) : -1;
+}
+
+/* dict[key] = dict.get(key, 0) + 1: the MIB's counting idiom. */
+static int
+dict_count(PyObject *dict, PyObject *key)
+{
+    long long value = 0;
+    PyObject *cur = PyDict_GetItemWithError(dict, key);
+    if (cur) {
+        value = PyLong_AsLongLong(cur);
+        if (value == -1 && PyErr_Occurred())
+            return -1;
+    }
+    else if (PyErr_Occurred())
+        return -1;
+    PyObject *next = PyLong_FromLongLong(value + 1);
+    if (!next)
+        return -1;
+    int rc = PyDict_SetItem(dict, key, next);
+    Py_DECREF(next);
+    return rc;
+}
+
+/* Network.packet_fault is set or a capture tap is installed: observers
+ * that may keep or alter packets, so only a real packet will do. */
+static int
+net_observed(PyObject *net_dict)
+{
+    PyObject *fault = dict_item(net_dict, s_packet_fault);
+    if (!fault)
+        return -1;
+    if (fault != Py_None)
+        return 1;
+    return dict_truth(net_dict, s_taps);
+}
+
+/* float.__floordiv__ (CPython's _float_div_mod) for wx != 0. */
+static double
+float_floordiv(double vx, double wx)
+{
+    double mod = fmod(vx, wx);
+    double div = (vx - mod) / wx;
+    if (mod && (wx < 0) != (mod < 0))
+        div -= 1.0;
+    if (div) {
+        double floordiv = floor(div);
+        if (div - floordiv > 0.5)
+            floordiv += 1.0;
+        return floordiv;
+    }
+    return copysign(0.0, vx / wx);
+}
+
+static int
+attr_double(PyObject *obj, PyObject *name, double *out)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (!value)
+        return -1;
+    *out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* BinnedSeries.add(now, size), written out. */
+static int
+series_add(PyObject *series, double now, PyObject *size)
+{
+    double t0, width;
+    if (attr_double(series, s_t0, &t0) < 0
+        || attr_double(series, s_bin_width, &width) < 0)
+        return -1;
+    if (width == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError,
+                        "float floor division by zero");
+        return -1;
+    }
+    PyObject *index = PyLong_FromDouble(float_floordiv(now - t0, width));
+    if (!index)
+        return -1;
+    PyObject *bins = PyObject_GetAttr(series, s_bins);
+    int rc = -1;
+    if (bins && PyDict_Check(bins)) {
+        PyObject *cur = PyDict_GetItemWithError(bins, index);
+        PyObject *next = NULL;
+        if (cur || !PyErr_Occurred())
+            next = PyNumber_Add(cur ? cur : zero_float, size);
+        if (next) {
+            rc = PyDict_SetItem(bins, index, next);
+            Py_DECREF(next);
+        }
+    }
+    else if (bins)
+        PyErr_SetString(PyExc_TypeError, "BinnedSeries._bins is a dict");
+    Py_XDECREF(bins);
+    Py_DECREF(index);
+    if (rc < 0)
+        return -1;
+    PyObject *total = PyObject_GetAttr(series, s_total);
+    PyObject *next = total ? PyNumber_Add(total, size) : NULL;
+    Py_XDECREF(total);
+    if (!next)
+        return -1;
+    rc = PyObject_SetAttr(series, s_total, next);
+    Py_DECREF(next);
+    return rc;
+}
+
+/* Network's throughput accounting for one bare frame from or to
+ * *address*: its size goes to the bytes series of each (bytes,
+ * goodput) pair in net.<which>[address]; a flooded SYN or SYN-ACK
+ * carries no payload, so the goodput series are left alone. */
+static int
+add_to_meters(PyObject *net_dict, PyObject *which, PyObject *address,
+              double now, PyObject *size)
+{
+    PyObject *table = dict_item(net_dict, which);
+    if (!table)
+        return -1;
+    if (!PyDict_Check(table)) {
+        PyErr_Format(PyExc_TypeError, "Network.%U is a dict", which);
+        return -1;
+    }
+    PyObject *meters = PyDict_GetItemWithError(table, address);
+    if (!meters)
+        return PyErr_Occurred() ? -1 : 0;
+    PyObject *pairs = PySequence_Fast(meters, "meters must be a sequence");
+    if (!pairs)
+        return -1;
+    int rc = 0;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(pairs); i++) {
+        PyObject *pair = PySequence_Fast_GET_ITEM(pairs, i);
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a meter is a (bytes, goodput) pair");
+            rc = -1;
+            break;
+        }
+        if ((rc = series_add(PyTuple_GET_ITEM(pair, 0), now, size)) < 0)
+            break;
+    }
+    Py_DECREF(pairs);
+    return rc;
+}
+
+#define SYN_FIELDS(X)                                                    \
+    X(engine) X(path) X(flooder) X(stats) X(bot) X(getrandbits)          \
+    X(send_packet) X(pool_bits) X(network) X(network_dict) X(server)     \
+    X(server_dict) X(stack) X(stack_dict) X(servers) X(clients) X(mib)   \
+    X(handle_syn) X(flyweight) X(materialize) X(dst_ip) X(dst_port)      \
+    X(size) X(fire_cb) X(deliver_cb)
+
+typedef struct {
+    PyObject_HEAD
+    EngineObject *engine;     /* set last: NULL until fully built */
+    FabricPathObject *path;   /* the bot's path to the server */
+    PyObject *flooder;        /* SynFlooder.__dict__: _running, _event */
+    PyObject *stats;          /* AttackStats.__dict__: syns_sent */
+    PyObject *bot;            /* the bot host's __dict__ */
+    PyObject *getrandbits;    /* the bot's rng.getrandbits */
+    PyObject *send_packet;    /* SynFlooder._send_packet */
+    PyObject *pool_bits;      /* SpoofingPool._span_bits */
+    PyObject *network, *network_dict;
+    PyObject *server, *server_dict;
+    PyObject *stack, *stack_dict;
+    PyObject *servers, *clients, *mib;  /* the stack's tables, MIB */
+    PyObject *handle_syn;     /* the listener's, bound */
+    PyObject *flyweight;      /* the one SYN packet handle_syn is given */
+    PyObject *materialize;    /* floodpath.syn_packet */
+    PyObject *dst_ip, *dst_port, *size;
+    PyObject *fire_cb, *deliver_cb;  /* fire/deliver bound to self */
+    long long pool_base, pool_span;
+    double interval;
+} SynFastPathObject;
+
+static int
+SynFastPath_traverse(SynFastPathObject *self, visitproc visit, void *arg)
+{
+#define VISIT(field) Py_VISIT(self->field);
+    SYN_FIELDS(VISIT)
+#undef VISIT
+    return 0;
+}
+
+static int
+SynFastPath_clear(SynFastPathObject *self)
+{
+#define CLEAR(field) Py_CLEAR(self->field);
+    SYN_FIELDS(CLEAR)
+#undef CLEAR
+    return 0;
+}
+
+static void
+SynFastPath_dealloc(SynFastPathObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    SynFastPath_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+unbuilt(void *engine)
+{
+    if (engine)
+        return 0;
+    PyErr_SetString(PyExc_TypeError, "flood path is not built");
+    return 1;
+}
+
+/* One getrandbits(bits) draw, bits <= 63. */
+static int
+draw_bits(SynFastPathObject *self, PyObject *bits, long long *out)
+{
+    PyObject *value = PyObject_CallOneArg(self->getrandbits, bits);
+    if (!value)
+        return -1;
+    *out = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Fold and schedule one SYN, or decline to the flooder's materialized
+ * send (what SynFlooder._fire does when the fast path says no). */
+static int
+syn_send(SynFastPathObject *self, PyObject *src_ip, PyObject *src_port,
+         PyObject *seq)
+{
+    int declined = net_observed(self->network_dict);
+    if (!declined) {
+        /* A spoofed source that carries a tx meter. */
+        PyObject *meters = dict_item(self->network_dict, s_tx_meters);
+        declined = meters ? PySequence_Contains(meters, src_ip) : -1;
+    }
+    if (!declined)
+        declined = PyDict_Contains(self->bot, s_send);
+    if (declined < 0)
+        return -1;
+    if (!declined) {
+        EngineObject *engine = self->engine;
+        double now = engine->now;
+        PyObject *arrival = fabric_fold(self->path, now, self->size);
+        if (!arrival)
+            return -1;
+        if (arrival == Py_None) {
+            Py_DECREF(arrival);
+            return dict_incr(self->network_dict, s_packets_dropped, 1);
+        }
+        if (arrival != Py_NotImplemented) {
+            double at = PyFloat_AS_DOUBLE(arrival);
+            Py_DECREF(arrival);
+            PyObject *sent_at = PyFloat_FromDouble(now);
+            if (!sent_at)
+                return -1;
+            /* schedule_at(arrival, deliver, ...): a fold never
+             * arrives before now (link rates and delays are checked). */
+            PyObject *args[4] = {src_ip, src_port, seq, sent_at};
+            PyObject *event = insert_event(engine, at, self->deliver_cb,
+                                           args, 4);
+            Py_DECREF(sent_at);
+            if (!event)
+                return -1;
+            Py_DECREF(event);
+            return 0;
+        }
+        /* A link fault hook: nothing was touched, and the per-packet
+         * path replays this send exactly. */
+        Py_DECREF(arrival);
+    }
+    PyObject *res = PyObject_CallFunctionObjArgs(self->send_packet, src_ip,
+                                                 src_port, seq, NULL);
+    if (!res)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+static PyObject *
+SynFastPath_fire(SynFastPathObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (unbuilt(self->engine))
+        return NULL;
+    int running = dict_truth(self->flooder, s_running);
+    if (running <= 0)
+        return running < 0 ? NULL : Py_NewRef(Py_None);
+    /* The stdlib's _randbelow rejection loops, draw for draw. */
+    long long value, port;
+    do {
+        if (draw_bits(self, self->pool_bits, &value) < 0)
+            return NULL;
+    } while (value >= self->pool_span);
+    do {
+        if (draw_bits(self, bits16, &port) < 0)
+            return NULL;
+    } while (port >= 64512);
+    PyObject *seq = PyObject_CallOneArg(self->getrandbits, bits32);
+    if (!seq)
+        return NULL;
+    PyObject *src_ip = PyLong_FromLongLong(self->pool_base + value);
+    PyObject *src_port = PyLong_FromLongLong(1024 + port);
+    int rc = (src_ip && src_port) ? syn_send(self, src_ip, src_port, seq)
+                                  : -1;
+    Py_XDECREF(src_ip);
+    Py_XDECREF(src_port);
+    Py_DECREF(seq);
+    if (rc < 0 || dict_incr(self->stats, s_syns_sent, 1) < 0)
+        return NULL;
+    /* Rescheduled last, and only if nothing stopped the flooder. */
+    running = dict_truth(self->flooder, s_running);
+    if (running < 0)
+        return NULL;
+    if (running) {
+        EngineObject *engine = self->engine;
+        PyObject *event = insert_event(engine, engine->now + self->interval,
+                                       self->fire_cb, NULL, 0);
+        if (!event)
+            return NULL;
+        rc = PyDict_SetItem(self->flooder, s_event, event);
+        Py_DECREF(event);
+        if (rc < 0)
+            return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+/* Decline at delivery: owner.method([host,] the SYN as a real packet). */
+static PyObject *
+syn_materialized(SynFastPathObject *self, PyObject *owner, PyObject *method,
+                 PyObject *host, PyObject *const *args)
+{
+    PyObject *packet = PyObject_CallFunctionObjArgs(
+        self->materialize, args[0], self->dst_ip, args[1], self->dst_port,
+        args[2], args[3], NULL);
+    if (!packet)
+        return NULL;
+    PyObject *res = host
+        ? PyObject_CallMethodObjArgs(owner, method, host, packet, NULL)
+        : PyObject_CallMethodObjArgs(owner, method, packet, NULL);
+    Py_DECREF(packet);
+    return res;
+}
+
+static PyObject *
+SynFastPath_deliver(SynFastPathObject *self, PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "deliver(src_ip, src_port, seq, "
+                        "sent_at) takes exactly 4 arguments");
+        return NULL;
+    }
+    if (unbuilt(self->engine))
+        return NULL;
+    int declined = dict_truth(self->network_dict, s_taps);
+    if (!declined)
+        declined = PyDict_Contains(self->server_dict, s_receive);
+    if (!declined)
+        declined = PyDict_Contains(self->stack_dict, s_receive);
+    if (declined < 0)
+        return NULL;
+    if (declined)
+        /* A capture tap or a receive override appeared between send
+         * and delivery: Network._deliver with a real packet. */
+        return syn_materialized(self, self->network, s_net_deliver,
+                                self->server, args);
+    if (dict_incr(self->network_dict, s_packets_delivered, 1) < 0
+        || add_to_meters(self->network_dict, s_rx_meters, self->dst_ip,
+                         self->engine->now, self->size) < 0)
+        return NULL;
+    /* TCPStack.receive's demux for a SYN, with the listener resolved at
+     * build time. */
+    PyObject *key = PyTuple_Pack(3, self->dst_port, args[0], args[1]);
+    if (!key)
+        return NULL;
+    int owned = PyDict_Contains(self->servers, key);
+    if (!owned)
+        owned = PyDict_Contains(self->clients, key);
+    Py_DECREF(key);
+    if (owned < 0)
+        return NULL;
+    if (owned)
+        /* A live connection owns this flow (the spoofing pool overlaps
+         * a real address): the full demux, with a real packet. */
+        return syn_materialized(self, self->stack, s_receive, NULL, args);
+    PyObject *fw = self->flyweight;
+    if (dict_incr(self->stack_dict, s_segments_received, 1) < 0
+        || dict_count(self->mib, s_in_segs) < 0
+        || PyObject_SetAttr(fw, s_src_ip, args[0]) < 0
+        || PyObject_SetAttr(fw, s_src_port, args[1]) < 0
+        || PyObject_SetAttr(fw, s_seq, args[2]) < 0
+        || PyObject_SetAttr(fw, s_sent_at, args[3]) < 0)
+        return NULL;
+    return PyObject_CallOneArg(self->handle_syn, fw);
+}
+
+static PyMethodDef SynFastPath_methods[] = {
+    {"fire", (PyCFunction)SynFastPath_fire, METH_NOARGS,
+     "fire()\nOne SynFlooder._fire: draw, send, count, reschedule."},
+    {"deliver", (PyCFunction)(void (*)(void))SynFastPath_deliver,
+     METH_FASTCALL,
+     "deliver(src_ip, src_port, seq, sent_at)\n"
+     "One SYN's arrival at the server, ending in handle_syn."},
+    {NULL, NULL, 0, NULL},
+};
+
+static int
+SynFastPath_init(SynFastPathObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {
+        "engine", "path", "flooder", "stats", "bot", "getrandbits",
+        "send_packet", "interval", "pool", "network", "server", "stack",
+        "handle_syn", "flyweight", "materialize", NULL};
+    PyObject *engine, *path, *flooder, *stats, *bot, *getrandbits,
+        *send_packet, *pool_bits, *network, *server, *stack, *handle_syn,
+        *flyweight, *materialize;
+    double interval;
+    long long base, span;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "$O!O!O!O!O!OOd(LLO)OOOOOO", kwlist, &Engine_Type,
+            &engine, &FabricPath_Type, &path, &PyDict_Type, &flooder,
+            &PyDict_Type, &stats, &PyDict_Type, &bot, &getrandbits,
+            &send_packet, &interval, &base, &span, &pool_bits, &network,
+            &server, &stack, &handle_syn, &flyweight, &materialize))
+        return -1;
+    if (self->engine || self->path) {
+        PyErr_SetString(PyExc_TypeError, "SynFastPath is already built");
+        return -1;
+    }
+    self->path = (FabricPathObject *)Py_NewRef(path);
+#define TAKE(field, value) self->field = Py_NewRef(value);
+    TAKE(flooder, flooder) TAKE(stats, stats)
+    TAKE(bot, bot) TAKE(getrandbits, getrandbits)
+    TAKE(send_packet, send_packet) TAKE(pool_bits, pool_bits)
+    TAKE(network, network) TAKE(server, server) TAKE(stack, stack)
+    TAKE(handle_syn, handle_syn) TAKE(flyweight, flyweight)
+    TAKE(materialize, materialize)
+#undef TAKE
+    self->pool_base = base;
+    self->pool_span = span;
+    self->interval = interval;
+    if (!(self->network_dict = instance_dict(network))
+        || !(self->server_dict = instance_dict(server))
+        || !(self->stack_dict = instance_dict(stack))
+        || !(self->servers = Py_XNewRef(dict_item(self->stack_dict,
+                                                  s_tcp_servers)))
+        || !(self->clients = Py_XNewRef(dict_item(self->stack_dict,
+                                                  s_tcp_clients)))
+        || !(self->mib = Py_XNewRef(dict_item(self->stack_dict,
+                                              s_mib_values)))
+        || !(self->dst_ip = PyObject_GetAttr(flyweight, s_dst_ip))
+        || !(self->dst_port = PyObject_GetAttr(flyweight, s_dst_port))
+        || !(self->size = PyObject_GetAttr(flyweight, s_size_bytes))
+        || !(self->fire_cb = PyCFunction_NewEx(&SynFastPath_methods[0],
+                                               (PyObject *)self, NULL))
+        || !(self->deliver_cb = PyCFunction_NewEx(&SynFastPath_methods[1],
+                                                  (PyObject *)self, NULL)))
+        return -1;
+    if (!PyDict_Check(self->servers) || !PyDict_Check(self->clients)
+        || !PyDict_Check(self->mib)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "the stack's tables and MIB must be dicts");
+        return -1;
+    }
+    self->engine = (EngineObject *)Py_NewRef(engine);
+    return 0;
+}
+
+static PyTypeObject SynFastPath_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cengine.SynFastPath",
+    .tp_basicsize = sizeof(SynFastPathObject),
+    .tp_dealloc = (destructor)SynFastPath_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One SynFlooder's spoofed-SYN firing loop (compiled core).",
+    .tp_traverse = (traverseproc)SynFastPath_traverse,
+    .tp_clear = (inquiry)SynFastPath_clear,
+    .tp_methods = SynFastPath_methods,
+    .tp_init = (initproc)SynFastPath_init,
+    .tp_new = PyType_GenericNew,
+};
+
+#define REPLY_FIELDS(X)                                                  \
+    X(engine) X(path) X(network_dict) X(host_dict) X(src_ip) X(fold_links)
+
+typedef struct {
+    PyObject_HEAD
+    EngineObject *engine;     /* set last: NULL until fully built */
+    FabricPathObject *path;   /* the host's uplink */
+    PyObject *network_dict;
+    PyObject *host_dict;
+    PyObject *src_ip;
+    PyObject *fold_links;     /* repro.net.fabric.fold_links */
+} ReplyFastPathObject;
+
+static int
+ReplyFastPath_init(ReplyFastPathObject *self, PyObject *args,
+                   PyObject *kwds)
+{
+    static char *kwlist[] = {"engine", "path", "network", "host",
+                             "fold_links", NULL};
+    PyObject *engine, *path, *network, *host, *fold_links;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "$O!O!OOO", kwlist,
+                                     &Engine_Type, &engine,
+                                     &FabricPath_Type, &path, &network,
+                                     &host, &fold_links))
+        return -1;
+    if (self->engine || self->path) {
+        PyErr_SetString(PyExc_TypeError, "ReplyFastPath is already built");
+        return -1;
+    }
+    self->path = (FabricPathObject *)Py_NewRef(path);
+    self->fold_links = Py_NewRef(fold_links);
+    if (!(self->network_dict = instance_dict(network))
+        || !(self->host_dict = instance_dict(host))
+        || !(self->src_ip = PyObject_GetAttr(host, s_address)))
+        return -1;
+    self->engine = (EngineObject *)Py_NewRef(engine);
+    return 0;
+}
+
+static int
+ReplyFastPath_traverse(ReplyFastPathObject *self, visitproc visit,
+                       void *arg)
+{
+#define VISIT(field) Py_VISIT(self->field);
+    REPLY_FIELDS(VISIT)
+#undef VISIT
+    return 0;
+}
+
+static int
+ReplyFastPath_clear(ReplyFastPathObject *self)
+{
+#define CLEAR(field) Py_CLEAR(self->field);
+    REPLY_FIELDS(CLEAR)
+#undef CLEAR
+    return 0;
+}
+
+static void
+ReplyFastPath_dealloc(ReplyFastPathObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    ReplyFastPath_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+ReplyFastPath_send(ReplyFastPathObject *self, PyObject *const *args,
+                   Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "send(size, dst_ip, dst_port) "
+                        "takes exactly 3 arguments");
+        return NULL;
+    }
+    if (unbuilt(self->engine))
+        return NULL;
+    PyObject *size = args[0];
+    int declined = net_observed(self->network_dict);
+    if (!declined) {
+        /* A registered destination: the reply is delivered and read. */
+        PyObject *hosts = dict_item(self->network_dict, s_hosts_by_ip);
+        declined = hosts ? PySequence_Contains(hosts, args[1]) : -1;
+    }
+    if (!declined)
+        declined = PyDict_Contains(self->host_dict, s_send);
+    if (declined < 0)
+        return NULL;
+    if (declined)
+        Py_RETURN_FALSE;
+    double now = self->engine->now;
+    if (add_to_meters(self->network_dict, s_tx_meters, self->src_ip, now,
+                      size) < 0)
+        return NULL;
+    PyObject *arrival = fabric_fold(self->path, now, size);
+    if (arrival == Py_NotImplemented) {
+        Py_DECREF(arrival);
+        PyObject *at = PyFloat_FromDouble(now);
+        arrival = at ? PyObject_CallFunctionObjArgs(
+            self->fold_links, self->path->links, at, size, NULL) : NULL;
+        Py_XDECREF(at);
+    }
+    if (!arrival)
+        return NULL;
+    /* Droptailed on the uplink, it never reached the backbone. */
+    int rc = dict_incr(self->network_dict, arrival == Py_None
+                       ? s_packets_dropped : s_packets_blackholed, 1);
+    Py_DECREF(arrival);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_TRUE;
+}
+
+static PyMethodDef ReplyFastPath_methods[] = {
+    {"send", (PyCFunction)(void (*)(void))ReplyFastPath_send,
+     METH_FASTCALL,
+     "send(size, dst_ip, dst_port) -> bool\n"
+     "Account one size-byte reply toward the uplink blackhole; False,\n"
+     "with nothing touched, when the caller must send a real packet."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject ReplyFastPath_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cengine.ReplyFastPath",
+    .tp_basicsize = sizeof(ReplyFastPathObject),
+    .tp_dealloc = (destructor)ReplyFastPath_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One host's replies to spoofed addresses (compiled core).",
+    .tp_traverse = (traverseproc)ReplyFastPath_traverse,
+    .tp_clear = (inquiry)ReplyFastPath_clear,
+    .tp_methods = ReplyFastPath_methods,
+    .tp_init = (initproc)ReplyFastPath_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
 /* Module                                                             */
 /* ------------------------------------------------------------------ */
 static struct PyModuleDef cengine_module = {
@@ -1568,15 +2259,39 @@ PyInit__cengine(void)
         {&s_packets_dropped, "packets_dropped"},
         {&s_packets_lost, "packets_lost"},
         {&s_bytes_sent, "bytes_sent"}, {&s_random, "random"},
-        {&s_offer, "offer"},
+        {&s_offer, "offer"}, {&s_dict, "__dict__"},
+        {&s_running, "_running"},
+        {&s_event, "_event"}, {&s_syns_sent, "syns_sent"},
+        {&s_send, "send"}, {&s_receive, "receive"},
+        {&s_packet_fault, "packet_fault"}, {&s_taps, "_taps"},
+        {&s_tx_meters, "_tx_meters"}, {&s_rx_meters, "_rx_meters"},
+        {&s_hosts_by_ip, "_hosts_by_ip"},
+        {&s_packets_delivered, "packets_delivered"},
+        {&s_packets_blackholed, "packets_blackholed"},
+        {&s_segments_received, "segments_received"},
+        {&s_in_segs, "InSegs"}, {&s_net_deliver, "_deliver"},
+        {&s_src_ip, "src_ip"}, {&s_src_port, "src_port"},
+        {&s_seq, "seq"}, {&s_sent_at, "sent_at"}, {&s_t0, "t0"},
+        {&s_bin_width, "bin_width"}, {&s_bins, "_bins"},
+        {&s_total, "total"}, {&s_dst_ip, "dst_ip"},
+        {&s_dst_port, "dst_port"}, {&s_size_bytes, "size_bytes"},
+        {&s_tcp_servers, "_servers"}, {&s_tcp_clients, "_clients"},
+        {&s_mib_values, "_mib_values"}, {&s_address, "address"},
     };
     for (size_t i = 0; i < sizeof(interned) / sizeof(interned[0]); i++) {
         *interned[i].slot = PyUnicode_InternFromString(interned[i].name);
         if (!*interned[i].slot)
             return NULL;
     }
+    bits16 = PyLong_FromLong(16);
+    bits32 = PyLong_FromLong(32);
+    zero_float = PyFloat_FromDouble(0.0);
+    if (!bits16 || !bits32 || !zero_float)
+        return NULL;
     if (PyType_Ready(&Event_Type) < 0 || PyType_Ready(&Engine_Type) < 0
-        || PyType_Ready(&FabricPath_Type) < 0)
+        || PyType_Ready(&FabricPath_Type) < 0
+        || PyType_Ready(&SynFastPath_Type) < 0
+        || PyType_Ready(&ReplyFastPath_Type) < 0)
         return NULL;
     PyObject *mod = PyModule_Create(&cengine_module);
     if (!mod)
@@ -1585,6 +2300,10 @@ PyInit__cengine(void)
         || PyModule_AddObjectRef(mod, "Event", (PyObject *)&Event_Type) < 0
         || PyModule_AddObjectRef(mod, "FabricPath",
                                  (PyObject *)&FabricPath_Type) < 0
+        || PyModule_AddObjectRef(mod, "SynFastPath",
+                                 (PyObject *)&SynFastPath_Type) < 0
+        || PyModule_AddObjectRef(mod, "ReplyFastPath",
+                                 (PyObject *)&ReplyFastPath_Type) < 0
         || PyModule_AddIntConstant(mod, "WHEEL_SLOTS", WHEEL_SLOTS) < 0
         || PyModule_AddIntConstant(mod, "COMPACT_MIN_HEAP",
                                    COMPACT_MIN_HEAP) < 0) {

@@ -156,7 +156,7 @@ class ListenSocket:
 
     Every SYN-ACK kind has one issue path that does its side effects once
     (hash, CPU charge, stats and MIB, tracer, ISN draw) and then calls
-    :meth:`_reply`, the one place that decides between the flyweight
+    :meth:`_reply`, the one place that decides between the compiled
     fast path and a materialized packet.
     """
 
@@ -211,10 +211,10 @@ class ListenSocket:
                 and self.config.syncache_lifetime is not None):
             self._arm_syncache_reaper()
         self._attack_until = 0.0
-        # Flyweight reply pipeline for blackholed SYN-ACKs (see
+        # The compiled path for blackholed SYN-ACKs (see
         # repro.net.floodpath); resolved lazily on first use. None =
-        # unresolved, False = unavailable (batched path off, or the host
-        # has no fabric to shortcut through).
+        # unresolved, False = unavailable (compiled core not adopted, or
+        # the host has no fabric to shortcut through).
         self._fast_reply = None
         # (params, on-wire size) of the last challenge SYN-ACK shape —
         # fairness policies swap params per source, so key by identity.
@@ -376,12 +376,12 @@ class ListenSocket:
         self._arm_synack_timer(tcb)
 
     def _resolve_fast_reply(self):
-        """Resolve (once) the flyweight pipeline for blackholed replies.
+        """Resolve (once) the compiled path for blackholed replies.
 
-        Returns the :class:`~repro.net.floodpath.ReplyFastPath`, or
-        ``False`` when this host cannot use one (batched fast path
-        disabled, a bare test host without a fabric, or a host the
-        topology cannot route an uplink for)."""
+        Returns the compiled ``ReplyFastPath`` (see
+        :mod:`repro.net.floodpath`), or ``False`` when this host cannot
+        use one (compiled core not adopted, a bare test host without a
+        fabric, or a host the topology cannot route an uplink for)."""
         network = getattr(self.host, "network", None)
         fast = None
         if network is not None:
@@ -397,10 +397,11 @@ class ListenSocket:
                ack: int, options: Callable[..., TCPOptions],
                args: tuple) -> None:
         """Send one SYN-ACK of *size* on-wire bytes, once its kind's side
-        effects are done: the fast path folds just the bytes toward a
-        spoofed peer, and when it declines (see
-        :meth:`ReplyFastPath.send`) the packet is built here, with
-        ``options(*args)`` as its option block, and sent."""
+        effects are done: the compiled path's ``send(size, dst_ip,
+        dst_port)`` folds just the bytes toward a spoofed peer, and when
+        it declines (returns False, see :mod:`repro.net.floodpath`) the
+        packet is built here, with ``options(*args)`` as its option
+        block, and sent."""
         fast = self._fast_reply
         if fast is None:
             fast = self._resolve_fast_reply()

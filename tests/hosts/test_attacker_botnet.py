@@ -1,8 +1,10 @@
 """Attacker and botnet tests."""
 
+import random
+
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.hosts.attacker import (
     AttackerConfig,
@@ -53,6 +55,84 @@ class TestSynFlooder:
         flooder.stop()
         assert listener.listen_queue.full
         assert listener.stats.syn_drops_queue_full > 0
+
+
+class _StopsOnDraw(random.Random):
+    """A bot RNG that stops its flooder from inside a draw: the stop
+    lands in the middle of a fire."""
+
+    flooder = None
+    stop_at = None
+
+    def getrandbits(self, k):
+        if self.stop_at is not None and self.flooder.stats.syns_sent \
+                == self.stop_at:
+            self.stop_at = None
+            self.flooder.stop()
+        return super().getrandbits(k)
+
+
+class TestSynFlooderLifecycle:
+    """start/stop keep their semantics whichever firing loop runs: each
+    run equals its twin with a capture tap from t=0, which sends every
+    SYN through the per-packet pipeline."""
+
+    @staticmethod
+    def _run(script, tapped):
+        net = MiniNet(n_attackers=1)
+        listener = net.server.tcp.listen(80, DefenseConfig(backlog=10_000))
+        if tapped:
+            net.network.add_tap(lambda now, packet, event: None)
+        bot = net.attackers[0]
+        bot.rng = _StopsOnDraw(7)
+        flooder = SynFlooder(bot, AttackerConfig(
+            server_ip=net.server.address, rate=1000.0))
+        bot.rng.flooder = flooder
+        script(net, flooder)
+        net.run(until=0.5)
+        stats = net.engine.stats()
+        return (flooder.stats.syns_sent, listener.stats.syns_received,
+                bot.rng.getstate(), net.server.rng.getstate(),
+                stats["events_scheduled"], stats["events_processed"],
+                stats["events_cancelled"], stats["pending_live"])
+
+    def _check(self, script):
+        result = self._run(script, tapped=False)
+        assert result == self._run(script, tapped=True)
+        return result[0]
+
+    def test_stop_before_the_first_fire(self):
+        def script(net, flooder):
+            flooder.start(delay=0.2)
+            net.engine.schedule(0.1, flooder.stop)
+
+        assert self._check(script) == 0
+
+    def test_stop_inside_a_fire(self):
+        def script(net, flooder):
+            net.engine.schedule(0.05, setattr, net.attackers[0].rng,
+                                "stop_at", 120)
+            flooder.start()
+
+        assert self._check(script) == 121
+
+    def test_stop_then_start(self):
+        def script(net, flooder):
+            flooder.start()
+            net.engine.schedule(0.1003, flooder.stop)
+            net.engine.schedule(0.2, flooder.start, 0.01)
+
+        assert self._check(script) == 101 + 290
+
+    def test_double_start_is_rejected_after_the_first_fire(self):
+        net = MiniNet(n_attackers=1)
+        net.server.tcp.listen(80)
+        flooder = SynFlooder(net.attackers[0], AttackerConfig(
+            server_ip=net.server.address, rate=100.0))
+        flooder.start()
+        net.run(until=0.1)
+        with pytest.raises(SimulationError):
+            flooder.start()
 
 
 class TestConnectionFlooder:

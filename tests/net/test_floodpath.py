@@ -17,11 +17,10 @@ import sys
 import pytest
 
 from repro.crypto.sha256 import HashCounter
-from repro.net import fabric
 from repro.net.fabric import (CFabricPath, PyFabricPath, _fabric_gate,
                               fold_links)
-from repro.net.floodpath import (MSS_SYNACK_SIZE, ReplyFastPath,
-                                 challenge_synack_size, plain_synack_size)
+from repro.net.floodpath import (MSS_SYNACK_SIZE, challenge_synack_size,
+                                 plain_synack_size)
 from repro.net.link import Link
 from repro.net.packet import (FLAG_SYN, FLAG_SYNACK, Packet, TCPOptions,
                               mss_options)
@@ -158,17 +157,18 @@ def _answer_spoofed_syn(kind, tapped):
     return state, uplink.bytes_sent - before, listener, syn, sent
 
 
-@pytest.mark.skipif(not fabric.BATCHED,
-                    reason="REPRO_FABRIC=packet: no reply fast path")
+@pytest.mark.skipif(CFabricPath is None,
+                    reason="compiled fabric fold not adopted")
 class TestReplySeam:
     """Every SYN-ACK kind leaves the same state whether the reply seam
-    folds it on the fast path or materializes it for an observer."""
+    folds it on the compiled path or materializes it for an observer."""
 
     @pytest.mark.parametrize("kind", sorted(REPLY_KINDS))
     def test_fast_and_materialized_replies_agree(self, kind):
         fast_state, fast_bytes, fast_listener, _, fast_sent = \
             _answer_spoofed_syn(kind, tapped=False)
-        assert isinstance(fast_listener._fast_reply, ReplyFastPath)
+        core = sys.modules[CFabricPath.__module__]
+        assert isinstance(fast_listener._fast_reply, core.ReplyFastPath)
         assert fast_sent == []
         state, tapped_bytes, listener, syn, sent = _answer_spoofed_syn(
             kind, tapped=True)

@@ -111,6 +111,26 @@ class TestPcapReader:
         with pytest.raises(NetworkError, match="IPv4 header length"):
             parse_frame(0.0, self._frame(b0=0x41))
 
+    def test_trailing_bytes_after_the_datagram_are_not_payload(self):
+        frame = packet_to_bytes(Packet(src_ip=1, dst_ip=2, src_port=3,
+                                       dst_port=4, payload_bytes=10))
+        assert len(frame) == 50
+        assert parse_frame(0.0, frame + bytes(6)).payload_bytes == 10
+
+    def test_datagram_too_long_for_its_header_has_total_length_zero(self):
+        frame = packet_to_bytes(Packet(src_ip=1, dst_ip=2, src_port=3,
+                                       dst_port=4, payload_bytes=70_000))
+        assert len(frame) == 70_040
+        assert frame[2:4] == b"\x00\x00"
+        assert parse_frame(0.0, frame).payload_bytes == 70_000
+
+    @pytest.mark.parametrize("total_length", [39, 41])
+    def test_parse_rejects_total_length_outside_the_frame(self,
+                                                          total_length):
+        # 39: shorter than the two 20-byte headers; 41: past the frame.
+        with pytest.raises(NetworkError, match="total length"):
+            parse_frame(0.0, self._frame(b3=total_length))
+
 
 _SEGMENTS = st.builds(
     Packet, src_ip=st.integers(0, 2 ** 32 - 1),
@@ -126,12 +146,16 @@ _SEGMENTS = st.builds(
 
 def _parses_or_rejects(frame: bytes) -> None:
     """The decoder contract: a NetworkError, or a frame whose lengths
-    add up."""
+    add up: the payload is the IPv4 total length (0: to the end of the
+    frame) minus both headers."""
     try:
         parsed = parse_frame(0.0, frame)
     except NetworkError:
         return
-    assert parsed.payload_bytes >= 0
+    total_length = int.from_bytes(frame[2:4], "big") or len(frame)
+    ihl = (frame[0] & 0x0F) * 4
+    data_offset = (frame[ihl + 12] >> 4) * 4
+    assert parsed.payload_bytes == total_length - ihl - data_offset >= 0
 
 
 class TestParseFrameFuzz:

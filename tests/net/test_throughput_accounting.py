@@ -1,21 +1,21 @@
 """Host throughput accounting owned by the network.
 
 ``Network.add_throughput_tap`` fills a meter's series where each packet is
-handled — ``Network.send``/``_deliver`` and both flood fast paths —
+handled — ``Network.send``/``_deliver`` and both compiled flood paths —
 instead of through a per-packet observer call. These tests hold it to
 the generic observer, ``HostThroughput.tap`` installed with
 ``Network.add_tap``: every bin and every total must agree.
 """
 
 import random
+import sys
 
 import pytest
 
 from repro.hosts.attacker import AttackerConfig, SynFlooder
 from repro.metrics.throughput import HostThroughput
-from repro.net import fabric
 from repro.net import packet as packet_module
-from repro.net.floodpath import ReplyFastPath, SynFastPath
+from repro.net.fabric import CFabricPath
 from repro.net.network import Network
 from repro.net.packet import FLAG_ACK, FLAG_PSHACK, FLAG_SYNACK, Packet
 from repro.net.topology import MBPS, Topology
@@ -130,15 +130,16 @@ def _spoofed_flood(tapped):
     return meter, listener, flooder, packets_built, captured
 
 
-@pytest.mark.skipif(not fabric.BATCHED,
-                    reason="REPRO_FABRIC=packet: no flood fast paths")
+@pytest.mark.skipif(CFabricPath is None,
+                    reason="compiled fabric fold not adopted")
 def test_fast_paths_account_like_the_per_packet_path():
     fast, fast_listener, fast_flooder, fast_built, _ = _spoofed_flood(
         tapped=False)
     slow, _, slow_flooder, slow_built, captured = _spoofed_flood(
         tapped=True)
-    assert isinstance(fast_flooder._fast, SynFastPath)
-    assert isinstance(fast_listener._fast_reply, ReplyFastPath)
+    core = sys.modules[CFabricPath.__module__]
+    assert isinstance(fast_flooder._fast, core.SynFastPath)
+    assert isinstance(fast_listener._fast_reply, core.ReplyFastPath)
     syns = fast_flooder.stats.syns_sent
     assert syns == slow_flooder.stats.syns_sent > 1000
     # Untapped, neither the SYNs nor the cookie replies became packets;

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.exp2_floods import FloodExperiment
 from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.net.fabric import CFabricPath
 from repro.obs.profile import (
     CORE_MODULE,
     LAYERS,
@@ -52,7 +53,13 @@ class TestLayerNames:
                 ("<method 'run' of 'repro.sim._cengine.Engine' objects>",
                  "sim"),
                 ("<method 'cancel' of 'repro.sim._cengine.Event' "
-                 "objects>", "sim")):
+                 "objects>", "sim"),
+                ("<method 'fire' of 'repro.sim._cengine.SynFastPath' "
+                 "objects>", "net"),
+                ("<method 'deliver' of 'repro.sim._cengine.SynFastPath' "
+                 "objects>", "net"),
+                ("<method 'send' of 'repro.sim._cengine.ReplyFastPath' "
+                 "objects>", "net")):
             module, qualname = _frame_key(text, keys)
             assert module == CORE_MODULE
             assert layer_of(module, qualname) == layer
@@ -193,6 +200,18 @@ class TestSynFloodCell:
         assert layer == "puzzles" and calls > 0
         assert self_s >= 0.8 * cum_s
         assert profiler.layers["puzzles"][1] >= self_s
+
+    @pytest.mark.skipif(CFabricPath is None,
+                        reason="compiled fabric fold not adopted")
+    def test_compiled_flood_paths_book_to_net(self):
+        profiler = _profiled(_flood_cell("cookies", "syn"))
+        calls = {(row[2], row[0]): row[3]
+                 for row in profiler.function_rows()}
+        # Python calls each bot's loop once (its first fire) and the
+        # reply path once per SYN-ACK; the engine calls the rest in C.
+        assert calls[("SynFastPath.fire", "net")] == 10
+        assert calls[("ReplyFastPath.send", "net")] > 1000
+        assert ("SynFastPath.deliver", "net") not in calls
 
 
 class TestZeroOverheadBranch:
