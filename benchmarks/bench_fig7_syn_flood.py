@@ -6,7 +6,7 @@ import pytest
 from benchmarks.conftest import bench_scenario_config, emit, record_manifest
 from repro.experiments.exp2_floods import run_syn_flood_suite_report
 from repro.experiments.report import render_table
-from repro.obs import TelemetrySpec, drop_attribution, established_total
+from repro.obs import TelemetrySpec, drop_attribution
 
 
 @pytest.fixture(scope="module")
@@ -53,37 +53,29 @@ def test_fig7_syn_flood_throughput(benchmark, suite):
 
 
 def test_fig7_counters_attribute_every_drop(report):
-    """Observability acceptance: the SNMP counters account for every
-    refused/failed handshake exactly once, and agree with the listener's
-    own statistics. Also persists a ``BENCH_fig7_*.json`` run manifest
-    per defense configuration, carrying the sweep runner's accounting."""
+    """Observability acceptance: the SNMP counters account for every SYN
+    and for every refused/failed handshake exactly once. Also persists a
+    ``BENCH_fig7_*.json`` run manifest per defense configuration,
+    carrying the sweep runner's accounting."""
     suite, runner_stats = report
     for label, result in suite.items():
         # Summaries carry the counter snapshot, not the live scope.
         server = result.counters["server"]
-        stats = result.listener_stats
 
         def count(name):
             return server.get(name, 0)
 
-        # Counter/stat identities (one increment site per event).
-        assert count("SynsRecv") == stats.syns_received
-        assert count("SynAcksSent") == stats.synacks_plain
-        assert count("PuzzlesIssued") == stats.synacks_challenge
-        assert count("SynCookiesSent") == stats.synacks_cookie
-        assert count("SynCookiesFailed") == stats.cookies_invalid
-        assert count("ListenOverflows") == stats.syn_drops_queue_full
-        assert count("HalfOpenExpired") == stats.half_open_expired
-        assert count("AcceptOverflows") == stats.accept_drops_full
-        assert (count("DeceptionAcksIgnored")
-                == stats.acks_ignored_queue_full)
-        assert (count("PuzzlesRejected") + count("ReplaysBlocked")
-                + count("PlainAcksIgnored")
-                == stats.solutions_invalid)
-        assert established_total(server) == stats.established_total()
+        # SYN conservation: each SYN draws one first SYN-ACK, challenge
+        # or cookie, or one SYN-side refusal.
+        assert count("SynsRecv") == (
+            count("SynAcksSent") - count("SynAckRetrans")
+            + count("PuzzlesIssued") + count("SynCookiesSent")
+            + count("ListenOverflows") + count("AdmissionDrops")
+            + count("SynCacheRejects"))
 
         # Exactly-one-cause attribution: the disjoint cause counters sum
-        # to the same total the listener's own books arrive at.
+        # to the refusals the listener's stats (a view of the MIB) book.
+        stats = result.listener_stats
         drops = drop_attribution(server)
         assert sum(drops.values()) == (
             stats.syn_drops_queue_full + stats.half_open_expired

@@ -182,14 +182,16 @@ echo "== scheduler regression guard =="
 # per-event cost 3.4x-5.2x, and a forced heap 0.9x-1.0x; the floor sits
 # between. Whether the wheel is expected follows from whether the
 # compiled core builds on this host, not from its adoption, so a core
-# that stops being adopted fails here instead of skipping.
+# that stops being adopted fails here instead of skipping. Only a failed
+# build (no compiler, a compile error) skips: a core that builds but
+# does not import fails here.
 python - <<'PYEOF'
 import os
 import sys
 
 import repro.sim.engine as engine_mod
 from repro.obs.microbench import run_benchmark
-from repro.sim.accel import load_cengine
+from repro.sim.accel import build_cengine, load_cengine
 from repro.sim.reference import ReferenceHeapEngine
 
 FLOOR = 5.5
@@ -201,11 +203,12 @@ if os.environ.get("REPRO_ENGINE", "").strip().lower() == "py":
           "skipping")
     sys.exit(0)
 try:
-    load_cengine()
-except Exception as exc:
+    build_cengine()
+except (OSError, RuntimeError) as exc:
     print(f"scheduler guard: the compiled core does not build here "
           f"({type(exc).__name__}), skipping")
     sys.exit(0)
+load_cengine()  # an import failure fails the guard
 adopted = engine_mod.Engine
 lost = []
 for name in ("timer_churn", "engine_dispatch"):

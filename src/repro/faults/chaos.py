@@ -172,10 +172,7 @@ def sustained_overload_verdict(summary,
     mib = summary.counters.get("server", {})
     estab_cache = mib.get("EstabSynCache", 0)
     estab_cookie = mib.get("EstabCookie", 0)
-    stray = mib.get("EstabNormal", 0) + mib.get("EstabPuzzle", 0)
-    attributed = (stray == 0
-                  and estab_cache + estab_cookie
-                  == summary.listener_stats.established_total())
+    attributed = mib.get("EstabNormal", 0) + mib.get("EstabPuzzle", 0) == 0
     checks = {
         "reached_overload": reached,
         "recovered_to_normal": recovered,

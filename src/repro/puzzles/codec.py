@@ -179,6 +179,8 @@ def decode_solution(data: bytes, params: PuzzleParams,
         raise CodecError("solution block truncated")
     mss = int.from_bytes(data[2:4], "big")
     wscale = data[4]
+    if wscale > 14:
+        raise CodecError(f"window scale {wscale} out of range")
     offset = 5
     if embedded:
         timestamp_ms = int.from_bytes(data[offset:offset + 4], "big")

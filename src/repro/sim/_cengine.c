@@ -1599,11 +1599,10 @@ static PyTypeObject FabricPath_Type = {
 
 static PyObject *s_running, *s_event, *s_syns_sent, *s_send, *s_receive,
     *s_packet_fault, *s_taps, *s_tx_meters, *s_rx_meters, *s_hosts_by_ip,
-    *s_packets_delivered, *s_packets_blackholed, *s_segments_received,
-    *s_in_segs, *s_net_deliver, *s_src_ip, *s_src_port, *s_seq,
-    *s_sent_at, *s_t0, *s_bin_width, *s_bins, *s_total, *s_dst_ip,
-    *s_dst_port, *s_size_bytes, *s_tcp_servers, *s_tcp_clients,
-    *s_mib_values, *s_address;
+    *s_packets_delivered, *s_packets_blackholed, *s_in_segs, *s_net_deliver,
+    *s_src_ip, *s_src_port, *s_seq, *s_sent_at, *s_t0, *s_bin_width,
+    *s_bins, *s_total, *s_dst_ip, *s_dst_port, *s_size_bytes,
+    *s_tcp_servers, *s_tcp_clients, *s_mib_values, *s_address;
 static PyObject *bits16, *bits32, *zero_float;
 
 static int
@@ -1996,8 +1995,7 @@ SynFastPath_deliver(SynFastPathObject *self, PyObject *const *args,
          * a real address): the full demux, with a real packet. */
         return syn_materialized(self, self->stack, s_receive, NULL, args);
     PyObject *fw = self->flyweight;
-    if (dict_incr(self->stack_dict, s_segments_received, 1) < 0
-        || dict_count(self->mib, s_in_segs) < 0
+    if (dict_count(self->mib, s_in_segs) < 0
         || PyObject_SetAttr(fw, s_src_ip, args[0]) < 0
         || PyObject_SetAttr(fw, s_src_port, args[1]) < 0
         || PyObject_SetAttr(fw, s_seq, args[2]) < 0
@@ -2268,7 +2266,6 @@ PyInit__cengine(void)
         {&s_hosts_by_ip, "_hosts_by_ip"},
         {&s_packets_delivered, "packets_delivered"},
         {&s_packets_blackholed, "packets_blackholed"},
-        {&s_segments_received, "segments_received"},
         {&s_in_segs, "InSegs"}, {&s_net_deliver, "_deliver"},
         {&s_src_ip, "src_ip"}, {&s_src_port, "src_port"},
         {&s_seq, "seq"}, {&s_sent_at, "sent_at"}, {&s_t0, "t0"},

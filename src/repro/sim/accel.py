@@ -93,11 +93,11 @@ def _compile(build_dir: str, tag: str) -> str:
     return so_path
 
 
-def load_cengine() -> Optional[ModuleType]:
-    """Compile (if needed) and import the C engine core.
+def build_cengine() -> str:
+    """Compile the C engine core if needed; returns the shared object's path.
 
-    Returns the extension module, or raises on any failure — the caller
-    (:mod:`repro.sim.engine`) then falls back to the reference heap.
+    Raises :class:`OSError` (no compiler, no writable cache directory) or
+    :class:`RuntimeError` (a compile error) when the core cannot be built.
     """
     if not os.path.exists(_SOURCE):
         raise FileNotFoundError(_SOURCE)
@@ -105,16 +105,22 @@ def load_cengine() -> Optional[ModuleType]:
         source = fh.read()
     tag = _cache_tag(source)
     last_err: Optional[BaseException] = None
-    so_path = None
     for build_dir in _build_dirs():
         try:
-            so_path = _compile(build_dir, tag)
-            break
+            return _compile(build_dir, tag)
         except (OSError, RuntimeError) as exc:
             last_err = exc
-    if so_path is None:
-        assert last_err is not None
-        raise last_err
+    assert last_err is not None
+    raise last_err
+
+
+def load_cengine() -> Optional[ModuleType]:
+    """Compile (if needed) and import the C engine core.
+
+    Returns the extension module, or raises on any failure — the caller
+    (:mod:`repro.sim.engine`) then falls back to the reference heap.
+    """
+    so_path = build_cengine()
     loader = importlib.machinery.ExtensionFileLoader(_MODULE_NAME, so_path)
     spec = importlib.util.spec_from_file_location(
         _MODULE_NAME, so_path, loader=loader)

@@ -62,6 +62,9 @@ _VIA_NORMAL = EstablishPath.NORMAL
 _VIA_COOKIE = EstablishPath.COOKIE
 _VIA_PUZZLE = EstablishPath.PUZZLE
 _VIA_SYNCACHE = EstablishPath.SYNCACHE
+#: Refusal causes that are failed puzzle solutions, which the attribution
+#: sketch also tallies per source.
+_PUZZLE_FAILURES = ("PuzzlesRejected", "ReplaysBlocked")
 
 
 @dataclass
@@ -112,7 +115,13 @@ class DefenseConfig:
 
 @dataclass
 class ListenerStats:
-    """Counters behind Figures 7–11's per-path analysis."""
+    """Counters behind Figures 7–11's per-path analysis.
+
+    A view of the host MIB, which is the one book of handshake outcomes:
+    :meth:`from_counters` builds it, and :attr:`ListenSocket.stats`
+    reads it off the listener's host. A new establishment path adds an
+    ``Estab*`` counter and its field here.
+    """
 
     syns_received: int = 0
     synacks_plain: int = 0           # SYN-ACK without challenge/cookie
@@ -133,6 +142,36 @@ class ListenerStats:
     cookies_invalid: int = 0
     accept_drops_full: int = 0
     half_open_expired: int = 0
+
+    @classmethod
+    def from_counters(cls, counters) -> "ListenerStats":
+        """The statistics a host MIB holds, field by field.
+
+        *counters* is a live :class:`~repro.obs.counters.CounterScope` or
+        a snapshot dict (whose ``get`` returns None for an untouched
+        counter). Each field sums the counters it is named against.
+        """
+        return cls(**{
+            field_name: sum(counters.get(name) or 0 for name in names)
+            for field_name, names in (
+                ("syns_received", ("SynsRecv",)),
+                ("synacks_plain", ("SynAcksSent",)),
+                ("synacks_challenge", ("PuzzlesIssued",)),
+                ("synacks_cookie", ("SynCookiesSent",)),
+                ("synacks_cookie_fallback", ("SynCacheCookieFallback",)),
+                ("syns_rejected_admission", ("AdmissionDrops",)),
+                ("syn_drops_queue_full", ("ListenOverflows",)),
+                ("established_normal", ("EstabNormal",)),
+                ("established_cookie", ("EstabCookie",)),
+                ("established_puzzle", ("EstabPuzzle",)),
+                ("established_syncache", ("EstabSynCache",)),
+                ("acks_ignored_queue_full", ("DeceptionAcksIgnored",)),
+                ("solutions_invalid", ("PuzzlesRejected", "ReplaysBlocked",
+                                       "PlainAcksIgnored")),
+                ("cookies_invalid", ("SynCookiesFailed",)),
+                ("accept_drops_full", ("AcceptOverflows",)),
+                ("half_open_expired", ("HalfOpenExpired",)),
+            )})
 
     def established_total(self) -> int:
         return (self.established_normal + self.established_cookie
@@ -155,9 +194,10 @@ class ListenSocket:
     """A passive-open socket with pluggable state-exhaustion defenses.
 
     Every SYN-ACK kind has one issue path that does its side effects once
-    (hash, CPU charge, stats and MIB, tracer, ISN draw) and then calls
+    (hash, CPU charge, MIB, tracer, ISN draw) and then calls
     :meth:`_reply`, the one place that decides between the compiled
-    fast path and a materialized packet.
+    fast path and a materialized packet. Every refusal goes through
+    :meth:`_refuse`, which books its drop cause.
     """
 
     def __init__(self, stack: "TCPStack", port: int,
@@ -174,7 +214,6 @@ class ListenSocket:
         # is still read live — fault injectors retune it mid-run.
         self._lq_table = self.listen_queue._table
         self._aq_queue = self.accept_queue._queue
-        self.stats = ListenerStats()
         # Observability: SNMP counters land in the host's MIB scope, and
         # handshake tracepoints go to the engine-wide tracer (default off).
         self.mib = self.host.mib
@@ -195,8 +234,6 @@ class ListenSocket:
         # Syncookie-fallback hysteresis latch: set when syncache occupancy
         # crosses the high watermark, cleared below the low watermark.
         self._fallback_engaged = False
-        self.listen_queue.mib = self.mib
-        self.accept_queue.mib = self.mib
         if self.config.scheme is None:
             self.config.scheme = JuelsBrainardScheme()
         self._cookie_codec = fallback_codec(
@@ -226,14 +263,31 @@ class ListenSocket:
         self.on_established_hook: Optional[
             Callable[[int, EstablishPath], None]] = None
 
+    @property
+    def stats(self) -> ListenerStats:
+        """Handshake outcomes read off the host MIB: host-wide counts,
+        as ``netstat -s`` reports them."""
+        return ListenerStats.from_counters(self.mib)
+
     # ------------------------------------------------------------------
-    # Tracepoints
+    # Refusals
     # ------------------------------------------------------------------
-    def _trace(self, event: str, flow, **detail) -> None:
+    def _refuse(self, cause: str, src_ip: int, src_port: int, event: str,
+                **detail) -> None:
+        """Book one refused handshake event: its ``DROP_CAUSES`` counter,
+        the attribution sketch, and the *event* tracepoint (the flow
+        tuple is built only while the tracer is on)."""
+        values = self._mib_values
+        values[cause] = values.get(cause, 0) + 1
+        attribution = self.attribution
+        if attribution is not None:
+            attribution.on_drop(src_ip, cause)
+            if cause in _PUZZLE_FAILURES:
+                attribution.on_puzzle_failure(src_ip)
         tracer = self._tracer
         if tracer.enabled:
-            tracer.emit(self.host.engine.now, self.host.name, event, flow,
-                        **detail)
+            tracer.emit(self.host.engine.now, self.host.name, event,
+                        (src_ip, src_port, self.port), **detail)
 
     # ------------------------------------------------------------------
     # sysctl-style tuning
@@ -295,15 +349,12 @@ class ListenSocket:
     # SYN handling
     # ------------------------------------------------------------------
     def handle_syn(self, packet: Packet) -> None:
-        stats = self.stats
-        stats.syns_received += 1
         values = self._mib_values
         values["SynsRecv"] = values.get("SynsRecv", 0) + 1
         if self.attribution is not None:
             self.attribution.on_syn(packet.src_ip)
-        # Tracer guards inlined on the flood-rate sites: when tracing is
-        # off (the default) this skips building the flow tuple and the
-        # _trace call frame for every SYN.
+        # Tracer guard inlined: when tracing is off (the default) this
+        # skips building the flow tuple for every SYN.
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(self.host.engine.now, self.host.name, "syn-in",
@@ -312,14 +363,8 @@ class ListenSocket:
                 packet.src_ip, self.host.engine.now):
             # Degradation-ladder front door: over-rate SYNs are shed
             # before any state, hash, or reply is spent on them.
-            stats.syns_rejected_admission += 1
-            values["AdmissionDrops"] = values.get("AdmissionDrops", 0) + 1
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip, "AdmissionDrops")
-            if tracer.enabled:
-                tracer.emit(self.host.engine.now, self.host.name, "drop",
-                            (packet.src_ip, packet.src_port, self.port),
-                            reason="admission")
+            self._refuse("AdmissionDrops", packet.src_ip, packet.src_port,
+                         "drop", reason="admission")
             return
         mode = self.config.mode
         if mode is _SYNCACHE:
@@ -335,14 +380,8 @@ class ListenSocket:
 
         # Stock path: allocate half-open state if the backlog allows.
         if len(self._lq_table) >= self.listen_queue.backlog:
-            stats.syn_drops_queue_full += 1
-            values["ListenOverflows"] = values.get("ListenOverflows", 0) + 1
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip, "ListenOverflows")
-            if tracer.enabled:
-                tracer.emit(self.host.engine.now, self.host.name, "drop",
-                            (packet.src_ip, packet.src_port, self.port),
-                            reason="listen-overflow")
+            self._refuse("ListenOverflows", packet.src_ip, packet.src_port,
+                         "drop", reason="listen-overflow")
             return
         self._stock_half_open(packet)
 
@@ -363,13 +402,8 @@ class ListenSocket:
             wscale=packet.options.wscale,
             created_at=self.host.engine.now,
             timeout_scale=self.host.rng.uniform(0.7, 1.3))
-        if not self.listen_queue.try_add(tcb):
-            # The queue's own mib hook counted the ListenOverflow.
-            self.stats.syn_drops_queue_full += 1
-            if self.attribution is not None:
-                self.attribution.on_drop(tcb.remote_ip, "ListenOverflows")
-            self._trace("drop", tcb.flow, reason="listen-overflow")
-            return
+        # handle_syn refused the SYN if the queue was full.
+        self.listen_queue.try_add(tcb)
         self._send_plain_synack(tcb.remote_ip, tcb.remote_port,
                                 tcb.local_isn, tcb.remote_isn, tcb.wscale,
                                 tcb.retransmits)
@@ -415,7 +449,6 @@ class ListenSocket:
     def _send_plain_synack(self, remote_ip: int, remote_port: int,
                            local_isn: int, remote_isn: int, wscale,
                            retransmits: int) -> None:
-        self.stats.synacks_plain += 1
         self._mib_incr("SynAcksSent")
         tracer = self._tracer
         if tracer.enabled:
@@ -444,12 +477,9 @@ class ListenSocket:
         if self.listen_queue.get(tcb.flow) is not tcb:
             return  # completed or already reaped
         if tcb.retransmits >= self.config.synack_retries:
-            # The queue's mib hook counts HalfOpenExpired.
             self.listen_queue.expire(tcb.flow)
-            self.stats.half_open_expired += 1
-            if self.attribution is not None:
-                self.attribution.on_drop(tcb.remote_ip, "HalfOpenExpired")
-            self._trace("expire", tcb.flow, retrans=tcb.retransmits)
+            self._refuse("HalfOpenExpired", tcb.remote_ip, tcb.remote_port,
+                         "expire", retrans=tcb.retransmits)
             return
         tcb.retransmits += 1
         self._mib_incr("SynAckRetrans")
@@ -492,7 +522,6 @@ class ListenSocket:
             params, packet.src_ip, packet.dst_ip, packet.src_port,
             packet.dst_port, packet.seq, now, counter=host.hash_counter)
         host.cpu.consume(1)  # g(p) = 1 hash of server CPU time
-        self.stats.synacks_challenge += 1
         values = self._mib_values
         values["PuzzlesIssued"] = values.get("PuzzlesIssued", 0) + 1
         tracer = self._tracer
@@ -515,7 +544,6 @@ class ListenSocket:
         cookie = self._cookie_codec.encode(
             self.host.now, packet.src_ip, packet.src_port,
             self.port, packet.seq, packet.options.mss or DEFAULT_MSS)
-        self.stats.synacks_cookie += 1
         values = self._mib_values
         values["SynCookiesSent"] = values.get("SynCookiesSent", 0) + 1
         tracer = self._tracer
@@ -541,7 +569,6 @@ class ListenSocket:
             elif occupancy >= config.syncache_high_watermark:
                 self._fallback_engaged = True
             if self._fallback_engaged:
-                self.stats.synacks_cookie_fallback += 1
                 self._mib_incr("SynCacheCookieFallback")
                 self._send_cookie_synack(packet)
                 return
@@ -553,11 +580,9 @@ class ListenSocket:
             created_at=self.host.engine.now)
         if not cache.insert(entry):
             # reject-new policy: no record, no SYN-ACK — the client
-            # retries into (hopefully) a less loaded cache. The cache's
-            # own rejected counter / SynCacheRejects MIB carry the tally.
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip, "SynCacheRejects")
-            self._trace("drop", entry.flow, reason="syncache-reject")
+            # retries into (hopefully) a less loaded cache.
+            self._refuse("SynCacheRejects", packet.src_ip, packet.src_port,
+                         "drop", reason="syncache-reject")
             return
         self._send_plain_synack(packet.src_ip, packet.src_port,
                                 entry.local_isn, packet.seq, entry.wscale, 0)
@@ -590,12 +615,9 @@ class ListenSocket:
                     and packet.options.solution is None):
                 # Under attack, unverified completions are ignored; the
                 # half-open is left stranded until its timer reaps it.
-                self.stats.acks_ignored_queue_full += 1
-                self._mib_incr("DeceptionAcksIgnored")
-                if self.attribution is not None:
-                    self.attribution.on_drop(packet.src_ip,
-                                             "DeceptionAcksIgnored")
-                self._trace("ignore", flow, reason="plain-ack-under-attack")
+                self._refuse("DeceptionAcksIgnored", packet.src_ip,
+                             packet.src_port, "ignore",
+                             reason="plain-ack-under-attack")
                 return True
             return self._complete_stock(tcb)
 
@@ -614,20 +636,15 @@ class ListenSocket:
             if (self.config.syncache_high_watermark is not None
                     and self._complete_cookie(packet)):
                 return True
-            self._mib_incr("SynCacheMisses")
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip, "SynCacheMisses")
-            self._trace("reject", flow, reason="syncache-miss")
+            self._refuse("SynCacheMisses", packet.src_ip, packet.src_port,
+                         "reject", reason="syncache-miss")
             return False
 
         if mode is _SYNCOOKIES:
             if self._complete_cookie(packet):
                 return True
-            self.stats.cookies_invalid += 1
-            self._mib_incr("SynCookiesFailed")
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip, "SynCookiesFailed")
-            self._trace("reject", flow, reason="bad-cookie")
+            self._refuse("SynCookiesFailed", packet.src_ip, packet.src_port,
+                         "reject", reason="bad-cookie")
             return False
 
         if (mode is _PUZZLES and packet.payload_bytes == 0
@@ -636,11 +653,8 @@ class ListenSocket:
             # unpatched host answering a challenge. Silently ignored: the
             # host believes it connected; data it sends later carries a
             # payload, falls through here, and draws an RST (§5).
-            self.stats.solutions_invalid += 1
-            self._mib_incr("PlainAcksIgnored")
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip, "PlainAcksIgnored")
-            self._trace("ignore", flow, reason="plain-ack")
+            self._refuse("PlainAcksIgnored", packet.src_ip, packet.src_port,
+                         "ignore", reason="plain-ack")
             return True
         return False
 
@@ -648,11 +662,8 @@ class ListenSocket:
         if self.accept_queue.full:
             # Stock Linux: leave the connection half-open; the SYN-ACK
             # timer keeps running and may later find room.
-            self.stats.accept_drops_full += 1
-            self._mib_incr("AcceptOverflows")
-            if self.attribution is not None:
-                self.attribution.on_drop(tcb.remote_ip, "AcceptOverflows")
-            self._trace("ignore", tcb.flow, reason="accept-overflow")
+            self._refuse("AcceptOverflows", tcb.remote_ip, tcb.remote_port,
+                         "ignore", reason="accept-overflow")
             return True
         self.listen_queue.complete(tcb.flow)
         self._install_tcb(tcb.remote_ip, tcb.remote_port,
@@ -660,15 +671,11 @@ class ListenSocket:
         return True
 
     def _complete_puzzle(self, packet: Packet) -> bool:
-        flow = (packet.src_ip, packet.src_port, self.port)
         # §5: verify only when there is room; otherwise ignore the ACK.
         if self.accept_queue.full:
-            self.stats.acks_ignored_queue_full += 1
-            self._mib_incr("DeceptionAcksIgnored")
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip,
-                                         "DeceptionAcksIgnored")
-            self._trace("ignore", flow, reason="accept-full-deception")
+            self._refuse("DeceptionAcksIgnored", packet.src_ip,
+                         packet.src_port, "ignore",
+                         reason="accept-full-deception")
             return True
         solution = packet.options.solution
         binding = FlowBinding(src_ip=packet.src_ip, dst_ip=packet.dst_ip,
@@ -688,13 +695,9 @@ class ListenSocket:
                     or solution.params.m < required.m
                     or solution.params.length_bytes
                     != required.length_bytes):
-                self.stats.solutions_invalid += 1
-                self._mib_incr("PuzzlesRejected")
-                if self.attribution is not None:
-                    self.attribution.on_drop(packet.src_ip,
-                                             "PuzzlesRejected")
-                    self.attribution.on_puzzle_failure(packet.src_ip)
-                self._trace("reject", flow, reason="fairness-difficulty")
+                self._refuse("PuzzlesRejected", packet.src_ip,
+                             packet.src_port, "reject",
+                             reason="fairness-difficulty")
                 return True
             expected = solution.params
         result = scheme.verify(
@@ -703,7 +706,6 @@ class ListenSocket:
             counter=self.host.hash_counter)
         self.host.cpu.consume(result.hashes_spent)
         if not result.ok:
-            self.stats.solutions_invalid += 1
             # Stale/future timestamps are the replay window at work; the
             # rest are genuinely bad solutions.
             if result.status in (VerifyStatus.EXPIRED,
@@ -711,11 +713,8 @@ class ListenSocket:
                 cause = "ReplaysBlocked"
             else:
                 cause = "PuzzlesRejected"
-            self._mib_incr(cause)
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip, cause)
-                self.attribution.on_puzzle_failure(packet.src_ip)
-            self._trace("reject", flow, reason=result.status.value)
+            self._refuse(cause, packet.src_ip, packet.src_port, "reject",
+                         reason=result.status.value)
             return True  # silently dropped, no RST: stateless server
         self._mib_incr("PuzzlesVerified")
         return self._install_tcb(packet.src_ip, packet.src_port,
@@ -736,13 +735,8 @@ class ListenSocket:
         values = self._mib_values
         values["SynCookiesRecv"] = values.get("SynCookiesRecv", 0) + 1
         if self.accept_queue.full:
-            self.stats.accept_drops_full += 1
-            values["AcceptOverflows"] = values.get("AcceptOverflows", 0) + 1
-            if self.attribution is not None:
-                self.attribution.on_drop(packet.src_ip, "AcceptOverflows")
-            self._trace("ignore",
-                        (packet.src_ip, packet.src_port, self.port),
-                        reason="accept-overflow")
+            self._refuse("AcceptOverflows", packet.src_ip, packet.src_port,
+                         "ignore", reason="accept-overflow")
             return True
         return self._install_tcb(packet.src_ip, packet.src_port,
                                  _VIA_COOKIE, state.mss,
@@ -753,32 +747,25 @@ class ListenSocket:
         connection = ServerConnection(
             self.stack, self.port, remote_ip, remote_port, path, mss,
             wscale)
-        flow = (remote_ip, remote_port, self.port)
         if not self.accept_queue.try_add(connection):
-            # The queue's mib hook counted the AcceptOverflow.
-            self.stats.accept_drops_full += 1
-            if self.attribution is not None:
-                self.attribution.on_drop(remote_ip, "AcceptOverflows")
-            self._trace("ignore", flow, reason="accept-overflow")
+            self._refuse("AcceptOverflows", remote_ip, remote_port,
+                         "ignore", reason="accept-overflow")
             return True
         self.stack.register_server(connection)
         values = self._mib_values
         if path is _VIA_NORMAL:
-            self.stats.established_normal += 1
             values["EstabNormal"] = values.get("EstabNormal", 0) + 1
         elif path is _VIA_COOKIE:
-            self.stats.established_cookie += 1
             values["EstabCookie"] = values.get("EstabCookie", 0) + 1
         elif path is _VIA_PUZZLE:
-            self.stats.established_puzzle += 1
             values["EstabPuzzle"] = values.get("EstabPuzzle", 0) + 1
         else:
-            self.stats.established_syncache += 1
             values["EstabSynCache"] = values.get("EstabSynCache", 0) + 1
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(self.host.engine.now, self.host.name, "accept",
-                        flow, path=path.value)
+                        (remote_ip, remote_port, self.port),
+                        path=path.value)
         if self.config.fairness is not None:
             self.config.fairness.record_established(
                 remote_ip, self.host.engine.now)
@@ -810,6 +797,9 @@ class ListenSocket:
             for connection in shed:
                 self.stack.forget_server(connection)
             evicted["accept"] = len(shed)
+        reclaimed = evicted["listen"] + evicted["accept"]
+        if reclaimed:
+            self._mib_incr("MemoryPressureReclaims", reclaimed)
         if syncache_limit is not None and self.config.syncache is not None:
             evicted["syncache"] = self.config.syncache.set_bucket_limit(
                 syncache_limit)

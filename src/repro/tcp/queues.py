@@ -38,9 +38,6 @@ class ListenQueue:
         self.completed = 0         # half-opens promoted to ESTABLISHED
         self.admitted = 0          # half-opens actually inserted
         self.pressure_evicted = 0  # reclaimed by injected memory pressure
-        #: Optional repro.obs CounterScope; the owning listener attaches
-        #: its host's so queue events land in the SNMP counters too.
-        self.mib = None
 
     def __len__(self) -> int:
         return len(self._table)
@@ -64,8 +61,6 @@ class ListenQueue:
             return True
         if self.full:
             self.drops_full += 1
-            if self.mib is not None:
-                self.mib.incr("ListenOverflows")
             return False
         self._table[tcb.flow] = tcb
         self.admitted += 1
@@ -89,8 +84,6 @@ class ListenQueue:
         if tcb is not None:
             tcb.cancel_timer()
             self.expired += 1
-            if self.mib is not None:
-                self.mib.incr("HalfOpenExpired")
         return tcb
 
     def resize(self, backlog: int) -> int:
@@ -108,8 +101,6 @@ class ListenQueue:
             tcb.cancel_timer()
             evicted += 1
         self.pressure_evicted += evicted
-        if evicted and self.mib is not None:
-            self.mib.incr("MemoryPressureReclaims", evicted)
         self.backlog = backlog
         return evicted
 
@@ -134,7 +125,6 @@ class AcceptQueue:
         self.enqueued = 0
         self.accepted = 0
         self.pressure_evicted = 0  # reclaimed by injected memory pressure
-        self.mib = None  # see ListenQueue.mib
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -146,8 +136,6 @@ class AcceptQueue:
     def try_add(self, connection: "ServerConnection") -> bool:
         if self.full:
             self.drops_full += 1
-            if self.mib is not None:
-                self.mib.incr("AcceptOverflows")
             return False
         self._queue.append(connection)
         self.enqueued += 1
@@ -173,8 +161,6 @@ class AcceptQueue:
         while len(self._queue) > backlog:
             evicted.append(self._queue.pop())
         self.pressure_evicted += len(evicted)
-        if evicted and self.mib is not None:
-            self.mib.incr("MemoryPressureReclaims", len(evicted))
         self.backlog = backlog
         return evicted
 

@@ -61,8 +61,6 @@ class TCPStack:
         # those instead of rescanning the whole range per attempt.
         self._exhausted_toward: Optional[Tuple[int, int]] = None
         self._freed_ports: List[int] = []
-        self.rsts_sent = 0
-        self.segments_received = 0
         # The host MIB's backing dict: the stack counts with plain dict
         # updates (the listener's idiom), a call cheaper per segment.
         self._mib_values = host.mib._values
@@ -149,7 +147,6 @@ class TCPStack:
     # Demux
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
-        self.segments_received += 1
         values = self._mib_values
         values["InSegs"] = values.get("InSegs", 0) + 1
         key = (packet.dst_port, packet.src_ip, packet.src_port)
@@ -180,7 +177,6 @@ class TCPStack:
             self._send_rst(packet)
 
     def _send_rst(self, packet: Packet) -> None:
-        self.rsts_sent += 1
         values = self._mib_values
         values["OutRsts"] = values.get("OutRsts", 0) + 1
         rst = Packet(src_ip=self.host.address, dst_ip=packet.src_ip,

@@ -273,8 +273,6 @@ class SynCache:
         if len(bucket) >= self.bucket_limit or over_budget:
             if self.policy == "reject-new":
                 shard.rejected += 1
-                if self.mib is not None:
-                    self.mib.incr("SynCacheRejects")
                 return False
             self._evict_one(index, bucket)
         bucket[entry.flow] = entry

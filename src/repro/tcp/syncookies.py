@@ -8,7 +8,8 @@ scheme:
 * top 5 bits — a slow time counter ``t`` (64-second granularity) modulo 32,
 * next 3 bits — an index into an 8-entry MSS table (this is the paper's
   point that cookies squeeze the 16-bit MSS into 3 bits),
-* low 24 bits — a keyed hash of (4-tuple, client ISN, t).
+* low 24 bits — a keyed hash of (4-tuple, client ISN, t, MSS index), so
+  neither the counter nor the MSS bits can be altered without the secret.
 
 Window scaling cannot be encoded at all, which the paper calls out as a
 performance cost of cookies; :meth:`SynCookieCodec.decode` therefore
@@ -28,9 +29,9 @@ from repro.errors import NetworkError
 MSS_TABLE = (536, 1300, 1440, 1460, 4312, 8960, 536, 536)
 
 _sha256 = hashlib.sha256
-#: Same byte layout as the original per-field ``to_bytes`` concatenation:
-#: 4-byte src_ip, 2-byte ports, 4-byte ISN, 8-byte unsigned t, big-endian.
-_pack_material = struct.Struct(">IHHIQ").pack
+#: Hash input after the secret, big-endian: 4-byte src_ip, 2-byte ports,
+#: 4-byte ISN, 8-byte unsigned t, 1-byte MSS index.
+_pack_material = struct.Struct(">IHHIQB").pack
 
 #: ``_mss_index`` results per client MSS — floods echo one MSS value
 #: millions of times, so the table scan runs once per distinct value.
@@ -88,9 +89,10 @@ class SynCookieCodec:
         return best_index
 
     def _hash24(self, src_ip: int, src_port: int, dst_port: int,
-                client_isn: int, t: int) -> int:
+                client_isn: int, t: int, mss_index: int) -> int:
         material = self._secret + _pack_material(
-            src_ip, src_port, dst_port, client_isn & 0xFFFFFFFF, t)
+            src_ip, src_port, dst_port, client_isn & 0xFFFFFFFF, t,
+            mss_index)
         digest = _sha256(material).digest()
         return int.from_bytes(digest[:3], "big")
 
@@ -99,7 +101,8 @@ class SynCookieCodec:
         """Build the cookie ISN for a SYN-ACK."""
         t = self.time_counter(now)
         mss_index = self._mss_index(client_mss)
-        h = self._hash24(src_ip, src_port, dst_port, client_isn, t)
+        h = self._hash24(src_ip, src_port, dst_port, client_isn, t,
+                         mss_index)
         return ((t % 32) << 27) | (mss_index << 24) | h
 
     def decode(self, now: float, cookie: int, src_ip: int, src_port: int,
@@ -117,7 +120,7 @@ class SynCookieCodec:
                 break
             if t % 32 != t_bits:
                 continue
-            if self._hash24(src_ip, src_port, dst_port, client_isn,
-                            t) == h:
+            if self._hash24(src_ip, src_port, dst_port, client_isn, t,
+                            mss_index) == h:
                 return CookieState(mss=MSS_TABLE[mss_index], wscale=None)
         return None

@@ -106,10 +106,11 @@ class TestSeededCorruption:
     def test_mib_divergence_is_caught(self, mini_net):
         listener = _listen(mini_net)
         checker = InvariantChecker(listener)
-        listener.mib.incr("HalfOpenExpired")  # stats not updated
+        checker.check_now()  # conserved while idle
+        listener.mib.incr("SynsRecv")  # a SYN no outcome accounts for
         with pytest.raises(InvariantViolation) as info:
             checker.check_now()
-        assert info.value.invariant == "mib-agreement"
+        assert info.value.invariant == "syn-conservation"
 
     def test_syncache_imbalance_is_caught(self, mini_net):
         listener = _listen(mini_net, mode=DefenseMode.SYNCACHE)

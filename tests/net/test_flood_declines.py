@@ -65,7 +65,7 @@ def _state(net, listener, flooder):
             "events_scheduled", "events_processed", "events_cancelled",
             "sim_seconds")},
         "syns_sent": flooder.stats.syns_sent,
-        "segments": [host.tcp.segments_received for host in hosts],
+        "segments": [host.mib["InSegs"] for host in hosts],
     }
 
 

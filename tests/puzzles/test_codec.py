@@ -160,6 +160,13 @@ class TestSolutionBlock:
         with pytest.raises(CodecError):
             encode_solution(solution)
 
+    def test_decode_rejects_bad_wscale(self):
+        params = PuzzleParams(k=2, m=8, length_bytes=4)
+        blob = bytearray(encode_solution(self.make_solution(params)))
+        blob[4] = 15
+        with pytest.raises(CodecError):
+            decode_solution(bytes(blob), params)
+
     def test_verifies_after_wire_roundtrip(self):
         """End-to-end: decode the wire bytes, verify against the scheme."""
         scheme = JuelsBrainardScheme(secret=SecretKey(1), mode="modeled")
@@ -193,3 +200,63 @@ def test_roundtrip_property(k, m, length, embed):
         sblob, params,
         timestamp_ms=None if embed else solution.issued_at_ms)
     assert dsol.solutions == solution.solutions
+
+
+#: Puzzle shapes the hostile-input fuzz encodes blocks for and decodes
+#: solutions against (the wire carries no k or l for solutions).
+FUZZ_PARAMS = (PuzzleParams(k=1, m=4, length_bytes=4),
+               PuzzleParams(k=2, m=8, length_bytes=4),
+               PuzzleParams(k=2, m=17, length_bytes=8))
+
+
+@st.composite
+def hostile_blocks(draw):
+    """Random bytes (some behind a puzzle opcode), or a valid challenge or
+    solution block, maybe truncated, with up to three bits flipped."""
+    kind = draw(st.sampled_from(("random", "opcode", "challenge",
+                                 "solution")))
+    if kind == "random":
+        return draw(st.binary(max_size=48))
+    if kind == "opcode":
+        opcode = draw(st.sampled_from((CHALLENGE_OPCODE, SOLUTION_OPCODE)))
+        return bytes([opcode]) + draw(st.binary(max_size=47))
+    params = draw(st.sampled_from(FUZZ_PARAMS))
+    embed = draw(st.booleans())
+    challenge = make_challenge(params)
+    if kind == "challenge":
+        blob = encode_challenge(challenge, embed_timestamp=embed)
+    else:
+        blob = encode_solution(
+            ModeledSolver().solve(challenge, random.Random(params.m)),
+            embed_timestamp=embed)
+    if draw(st.booleans()):
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    blob = bytearray(blob)
+    if blob:
+        for bit in draw(st.lists(st.integers(0, 8 * len(blob) - 1),
+                                 max_size=3)):
+            blob[bit // 8] ^= 1 << (bit % 8)
+    return bytes(blob)
+
+
+@settings(deadline=None, max_examples=500)
+@given(hostile_blocks(), st.sampled_from((None, 123456)))
+def test_hostile_blocks_decode_or_raise_codec_error(blob, timestamp_ms):
+    """Hostile option bytes never escape the codec as anything but a
+    CodecError, and a block that decodes carries in-range fields."""
+    try:
+        challenge = decode_challenge(blob, BINDING, timestamp_ms)
+    except CodecError:
+        pass
+    else:
+        assert len(challenge.preimage) == challenge.params.length_bytes
+    for params in FUZZ_PARAMS:
+        try:
+            solution = decode_solution(blob, params, timestamp_ms)
+        except CodecError:
+            continue
+        assert 0 <= solution.mss <= 0xFFFF
+        assert 0 <= solution.wscale <= 14
+        assert len(solution.solutions) == params.k
+        assert all(len(s) == params.length_bytes
+                   for s in solution.solutions)

@@ -76,7 +76,7 @@ class TestRstDiscipline:
                      src_port=5555, dst_port=4242, flags=TCPFlags.RST)
         mini_net.network.send(mini_net.client, rst)
         mini_net.run(until=0.5)
-        assert mini_net.server.tcp.rsts_sent == 0
+        assert mini_net.server.mib["OutRsts"] == 0
 
     def test_stray_data_draws_rst(self, mini_net):
         stray = Packet(src_ip=mini_net.client.address,
@@ -86,13 +86,13 @@ class TestRstDiscipline:
                        payload_bytes=100)
         mini_net.network.send(mini_net.client, stray)
         mini_net.run(until=0.5)
-        assert mini_net.server.tcp.rsts_sent == 1
+        assert mini_net.server.mib["OutRsts"] == 1
 
     def test_segment_counter(self, mini_net):
         mini_net.server.tcp.listen(80)
         mini_net.client.tcp.connect(mini_net.server.address, 80)
         mini_net.run(until=0.5)
-        assert mini_net.server.tcp.segments_received >= 2  # SYN + ACK
+        assert mini_net.server.mib["InSegs"] >= 2  # SYN + ACK
 
 
 class TestDemux:

@@ -101,3 +101,23 @@ def test_roundtrip_property(src_ip, src_port, mss, now):
     assert state is not None
     assert state.mss in MSS_TABLE
     assert state.mss <= mss
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(st.integers(min_value=0, max_value=0xFFFFFFFF),
+       st.integers(min_value=1, max_value=0xFFFF),
+       st.integers(min_value=0, max_value=0xFFFFFFFF),
+       st.integers(min_value=536, max_value=9000),
+       st.floats(min_value=0.0, max_value=1e5, allow_nan=False))
+def test_single_bit_flip_never_validates(src_ip, src_port, isn, mss, now):
+    """No bit of a cookie can be changed without the secret: a flipped
+    counter bit misses the window or the hash, a flipped hash bit misses
+    the hash, and a flipped MSS bit changes the hashed MSS index."""
+    codec = SynCookieCodec(b"prop")
+    flow = dict(src_ip=src_ip, src_port=src_port, dst_port=80,
+                client_isn=isn)
+    cookie = codec.encode(now=now, client_mss=mss, **flow)
+    assert codec.decode(now=now, cookie=cookie, **flow) is not None
+    for bit in range(32):
+        assert codec.decode(now=now, cookie=cookie ^ (1 << bit),
+                            **flow) is None, bit
