@@ -86,9 +86,7 @@ def test_ablation_synack_retries(benchmark):
         scenario = Scenario(config)
         result = scenario.build()
         result.server_app.listener.config.synack_retries = retries
-        from repro.experiments.ablations import _run_built
-
-        _run_built(scenario, result)
+        scenario.drive(result)
         return result.attacker_steady_state_rate()
 
     def both():

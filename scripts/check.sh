@@ -52,8 +52,10 @@
 #      the model digests pinned in perfbench/digests.json, so a speed-up
 #      that changes what the simulator computes fails here; so must a
 #      `syn_flood` run under REPRO_ENGINE=py, the per-packet flood
-#      pipeline a host without a C compiler runs; a run with a fault
-#      injected into one cell must fail (the negative control).
+#      pipeline a host without a C compiler runs, and an
+#      `overload_ladder` run under REPRO_ENGINE=py, which holds the SYN
+#      cache path to its digests on the reference engine; a run with a
+#      fault injected into one cell must fail (the negative control).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -270,7 +272,7 @@ else:
 PYEOF
 
 echo "== sustained-overload smoke =="
-# The full ladder — budgeted sharded syncache, syncookie fallback,
+# The full ladder — budgeted syncache, syncookie fallback,
 # admission control, watchdog — against a flood ~10x the cache budget.
 # The command itself exits non-zero if any cell fails its verdict
 # (bounded memory, bounded benign p99, OVERLOAD reached and walked back
@@ -389,12 +391,15 @@ for workload in syn_flood conn_flood overload_ladder; do
     }
     echo "perfbench: $workload correct, digests as pinned"
 done
-REPRO_ENGINE=py python perfbench/run.py --workload syn_flood --seed 1 \
-        --seconds 1 --trace 0 > /dev/null || {
-    echo "perfbench: syn_flood failed its checks under REPRO_ENGINE=py" >&2
-    exit 1
-}
-echo "perfbench: syn_flood correct under REPRO_ENGINE=py"
+for workload in syn_flood overload_ladder; do
+    REPRO_ENGINE=py python perfbench/run.py --workload "$workload" \
+            --seed 1 --seconds 1 --trace 0 > /dev/null || {
+        echo "perfbench: $workload failed its checks under" \
+             "REPRO_ENGINE=py" >&2
+        exit 1
+    }
+    echo "perfbench: $workload correct under REPRO_ENGINE=py"
+done
 if python perfbench/run.py --workload conn_flood --seed 1 --seconds 1 \
         --trace 0 --inject-fault cookies > /dev/null 2>&1; then
     echo "perfbench: a fault injected into the cookies cell passed" >&2

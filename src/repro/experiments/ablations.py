@@ -55,7 +55,7 @@ def controller_ablation(base: Optional[ScenarioConfig] = None
             scenario = Scenario(config)
             result = scenario.build()
             result.server_app.listener.config.always_challenge = always
-            _run_built(scenario, result)
+            scenario.drive(result)
             start, end = result.attack_window()
             times, mbps = result.client_throughput.rx_mbps(config.duration)
             mask = (times >= start) & (times < end)
@@ -69,24 +69,6 @@ def controller_ablation(base: Optional[ScenarioConfig] = None
                 attacker_established_rate=(
                     result.attacker_established_rate())))
     return rows
-
-
-def _run_built(scenario: Scenario, result) -> None:
-    """Drive an already-built scenario the way Scenario.run does."""
-    config = scenario.config
-    for client in result.clients:
-        client.start()
-    result.cpu.start()
-    result.queues.start()
-    if result.botnet is not None:
-        result.engine.schedule_at(config.attack_start, result.botnet.start)
-        result.engine.schedule_at(config.attack_end, result.botnet.stop)
-    result.engine.run(until=config.duration)
-    for client in result.clients:
-        client.stop()
-    result.cpu.stop()
-    result.queues.stop()
-    result.engine.drain()
 
 
 @dataclass(frozen=True)
@@ -179,61 +161,6 @@ def syncache_ablation(bucket_counts: Sequence[int] = (64, 256, 1024),
             rows.append(SynCacheAblationRow(
                 capacity=cache.capacity, attack_rate=rate,
                 evictions=cache.evictions,
-                survival_fraction=survived / trials))
-    return rows
-
-
-@dataclass(frozen=True)
-class EvictionPolicyAblationRow:
-    policy: str
-    attack_rate: float
-    evictions: int
-    rejected: int
-    survival_fraction: float   # benign half-opens outliving one RTT
-
-
-def eviction_policy_ablation(attack_rates: Sequence[float] = (500.0,
-                                                              5000.0),
-                             benign_rtt: float = 0.01,
-                             bucket_count: int = 64,
-                             trials: int = 50
-                             ) -> List[EvictionPolicyAblationRow]:
-    """Overflow-policy shoot-out on the syncache_ablation workload.
-
-    Same benign-survival probe as :func:`syncache_ablation`, but the
-    cache size is fixed and the overflow policy varies: oldest-per-bucket
-    (FreeBSD's churn), random-evict (an attacker can't target the oldest
-    slot), and reject-new (residents are never displaced, new arrivals
-    pay the cost).
-    """
-    import random
-
-    from repro.tcp.syncache import OVERFLOW_POLICIES, CacheEntry
-
-    rows = []
-    for policy in OVERFLOW_POLICIES:
-        for rate in attack_rates:
-            rng = random.Random(f"evict/{policy}/{rate}")
-            cache = SynCache(bucket_count=bucket_count, bucket_limit=8,
-                             policy=policy)
-            survived = 0
-            for trial in range(trials):
-                flow = (0x0A000000 + trial, 40000 + trial, 80)
-                cache.insert(CacheEntry(flow=flow, remote_isn=1,
-                                        local_isn=2, mss=1460, wscale=7,
-                                        created_at=0.0))
-                for _ in range(int(rate * benign_rtt)):
-                    attacker_flow = (rng.getrandbits(32),
-                                     rng.randrange(1024, 65536), 80)
-                    cache.insert(CacheEntry(flow=attacker_flow,
-                                            remote_isn=1, local_isn=2,
-                                            mss=1460, wscale=None,
-                                            created_at=0.0))
-                if cache.complete(flow) is not None:
-                    survived += 1
-            rows.append(EvictionPolicyAblationRow(
-                policy=policy, attack_rate=rate,
-                evictions=cache.evictions, rejected=cache.rejected,
                 survival_fraction=survived / trials))
     return rows
 

@@ -64,27 +64,10 @@ def adaptive_difficulty_experiment(
     tuner = AdaptiveDifficultyController(
         result.engine, result.server_app.listener, controller)
     tuner.start()
-    _drive(scenario, result)
+    scenario.drive(result)
     tuner.stop()
     return AdaptiveOutcome(adaptive=result, static=static,
                            m_trajectory=list(tuner.history))
-
-
-def _drive(scenario: Scenario, result: ScenarioResult) -> None:
-    config = scenario.config
-    for client in result.clients:
-        client.start()
-    result.cpu.start()
-    result.queues.start()
-    if result.botnet is not None:
-        result.engine.schedule_at(config.attack_start, result.botnet.start)
-        result.engine.schedule_at(config.attack_end, result.botnet.stop)
-    result.engine.run(until=config.duration)
-    for client in result.clients:
-        client.stop()
-    result.cpu.stop()
-    result.queues.stop()
-    result.engine.drain()
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +107,7 @@ def solution_flood_experiment(
             params=config.puzzle_params)
         result.engine.schedule_at(config.attack_start, flooder.start)
         result.engine.schedule_at(config.attack_end, flooder.stop)
-        _drive(scenario, result)
+        scenario.drive(result)
         start, end = result.attack_window()
         points.append(SolutionFloodPoint(
             flood_rate=rate,
@@ -230,7 +213,7 @@ def keepalive_experiment(base: Optional[ScenarioConfig] = None
             ]
             result.clients.clear()
             result.clients.extend(keepalive_clients)
-        _drive(scenario, result)
+        scenario.drive(result)
         results[keep_alive] = result
 
     per_request = results[False]

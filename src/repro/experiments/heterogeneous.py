@@ -127,7 +127,7 @@ def mixed_clientele_experiment(
             client.config.label = f"client-{slow_class}"
         else:
             client.config.label = f"client-{fast_class}"
-    _drive(scenario, result)
+    scenario.drive(result)
 
     start, end = result.attack_window()
     per_class = []
@@ -148,20 +148,3 @@ def mixed_clientele_experiment(
                                if connect_times else float("nan")),
             challenged=challenged))
     return MixedClienteleOutcome(per_class=per_class, result=result)
-
-
-def _drive(scenario: Scenario, result: ScenarioResult) -> None:
-    config = scenario.config
-    for client in result.clients:
-        client.start()
-    result.cpu.start()
-    result.queues.start()
-    if result.botnet is not None:
-        result.engine.schedule_at(config.attack_start, result.botnet.start)
-        result.engine.schedule_at(config.attack_end, result.botnet.stop)
-    result.engine.run(until=config.duration)
-    for client in result.clients:
-        client.stop()
-    result.cpu.stop()
-    result.queues.stop()
-    result.engine.drain()

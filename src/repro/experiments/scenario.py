@@ -32,7 +32,6 @@ from repro.metrics.summary import Summary, describe
 from repro.metrics.throughput import HostThroughput
 from repro.net.addresses import AddressAllocator
 from repro.net.network import Network
-from repro.net.pcap import PacketCapture
 from repro.net.topology import Topology, deter_topology
 from repro.obs import (Observability, SimSampler, SourceAttribution,
                        TelemetrySpec, hub_for)
@@ -113,7 +112,7 @@ class ScenarioConfig:
     #: per-event cost.
     telemetry: Optional[TelemetrySpec] = None
     #: Graceful-degradation ladder (:class:`~repro.tcp.overload.
-    #: OverloadConfig`): sharded/budgeted syncache construction, the
+    #: OverloadConfig`): budgeted syncache construction, the
     #: syncookie-fallback watermarks, admission control, and the overload
     #: watchdog. ``None`` (the default) builds none of it — runs are
     #: byte-identical to a ladder-less build.
@@ -340,12 +339,10 @@ class Scenario:
                 defense.syncache = SynCache(
                     bucket_count=ov.syncache_buckets,
                     bucket_limit=ov.syncache_bucket_limit,
-                    shard_count=ov.syncache_shards,
                     policy=ov.syncache_policy,
                     rng=streams.get("syncache"),
                     memory_budget=ov.syncache_memory_budget,
                     lifetime=ov.syncache_lifetime)
-                defense.syncache_lifetime = ov.syncache_lifetime
                 defense.syncache_high_watermark = ov.high_watermark
                 defense.syncache_low_watermark = ov.low_watermark
         server_config = ServerConfig(
@@ -470,6 +467,17 @@ class Scenario:
     def run(self) -> ScenarioResult:
         """Build, run to the configured duration, and return the result."""
         result = self.build()
+        self.drive(result)
+        return result
+
+    def drive(self, result: ScenarioResult) -> None:
+        """Run a built scenario to the configured duration, then drain it.
+
+        Installs the fault schedule and the invariant checker, starts the
+        clients, the samplers, the watchdog and (staggered) the botnet,
+        and stops them all at the end. Experiments that adjust a built
+        scenario before it runs call this instead of :meth:`run`.
+        """
         config = self.config
         # Fault injection and invariant checking are imported lazily so
         # the plain scenario path never pays for (or depends on) them.
@@ -521,4 +529,3 @@ class Scenario:
             # would discard the evidence a leaked TCB leaves behind.
             checker.final_check()
         result.engine.drain()
-        return result

@@ -157,10 +157,7 @@ class ScenarioSummary(RunMeasures):
 def summarize(result) -> ScenarioSummary:
     """Copy a live :class:`ScenarioResult`'s measurements into plain data."""
     tracker = result.tracker
-    connections = ConnectionLog(
-        tracker.bin_width, list(tracker.records),
-        dict(tracker.attempt_series), dict(tracker.established_series),
-        dict(tracker.completed_series), dict(tracker.failed_series))
+    connections = ConnectionLog(tracker.bin_width, list(tracker.records))
     counters: Dict[str, Dict[str, int]] = {}
     histograms: Dict[str, Histogram] = {}
     if result.obs is not None:

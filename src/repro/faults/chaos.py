@@ -99,7 +99,7 @@ def overload_matrix(config, invariant_interval: float = 0.25,
     """Sustained-overload cells: one 10x-capacity SYN flood per policy.
 
     Every row runs the full graceful-degradation ladder — a small
-    memory-budgeted sharded syncache (256-entry budget against a
+    memory-budgeted syncache (256-entry budget against a
     multi-thousand-SYN/s spoofed flood), syncookie fallback above the
     high watermark, admission control, and the overload watchdog — with
     an empty fault schedule: the *flood itself* is the fault. The row

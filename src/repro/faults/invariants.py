@@ -239,7 +239,7 @@ class InvariantChecker:
                     f"completions {cache.completions} + evictions "
                     f"{cache.evictions} + expired {cache.expired} + "
                     f"live {live}")
-        lifetime = getattr(self.listener.config, "syncache_lifetime", None)
+        lifetime = cache.lifetime
         if lifetime:
             oldest = cache.oldest_created_at()
             # Entries overstay by at most one reaper sweep (lifetime/4).

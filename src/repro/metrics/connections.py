@@ -3,12 +3,11 @@
 Backs the connection-time CDFs (Figure 6), established-connection rates
 (Figures 11, 13, 14), and completion percentages (Figure 15).
 
-:class:`ConnectionLog` is the plain data — the records plus per-label
-binned series of attempts, establishments, completions and failures —
-and owns every query. :class:`ConnectionTracker` is the same log with
-the engine attached and the lifecycle hooks host models call during a
-run; a finished run's summary keeps only the log, so a live tracker and
-its summary answer every query through the same code.
+:class:`ConnectionLog` is the plain data — one record per attempt — and
+owns every query; each query reads the records. :class:`ConnectionTracker`
+is the same log with the engine attached and the lifecycle hooks host
+models call during a run; a finished run's summary keeps only the log, so
+a live tracker and its summary answer every query through the same code.
 """
 
 from __future__ import annotations
@@ -62,23 +61,21 @@ class ConnectionLog:
 
     Labels are free-form — the experiments use ``"client"`` and
     ``"attacker"`` so metrics can be split the way the paper splits them.
-    The per-label series are keyed by the labels seen so far; a query
-    for an unseen label answers from an empty series.
+    A query for an unseen label answers as for a label with no records.
     """
 
     bin_width: float = 1.0
     records: List[ConnectionRecord] = field(default_factory=list)
-    attempt_series: Dict[str, BinnedSeries] = field(default_factory=dict)
-    established_series: Dict[str, BinnedSeries] = field(
-        default_factory=dict)
-    completed_series: Dict[str, BinnedSeries] = field(default_factory=dict)
-    failed_series: Dict[str, BinnedSeries] = field(default_factory=dict)
 
-    def _series(self, table: Dict[str, BinnedSeries],
-                label: str) -> BinnedSeries:
-        series = table.get(label)
-        if series is None:
-            series = BinnedSeries(self.bin_width)
+    def _binned(self, label: str, stamp: str) -> BinnedSeries:
+        """*label*'s records binned by their *stamp* time (``t_open`` or
+        ``t_established``; records without one are left out)."""
+        series = BinnedSeries(self.bin_width)
+        for record in self.records:
+            if record.label == label:
+                t = getattr(record, stamp)
+                if t is not None:
+                    series.add(t)
         return series
 
     def connect_times(self, label: str) -> np.ndarray:
@@ -91,12 +88,11 @@ class ConnectionLog:
     def established_rate(self, label: str,
                          until: float) -> Tuple[np.ndarray, np.ndarray]:
         """Connections/second entering ESTABLISHED, per bin (Figure 11)."""
-        return self._series(self.established_series, label).rate_series(
-            until)
+        return self._binned(label, "t_established").rate_series(until)
 
     def attempt_rate(self, label: str,
                      until: float) -> Tuple[np.ndarray, np.ndarray]:
-        return self._series(self.attempt_series, label).rate_series(until)
+        return self._binned(label, "t_open").rate_series(until)
 
     def completion_percent_series(self, label: str, until: float
                                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -161,21 +157,12 @@ class ConnectionTracker(ConnectionLog):
         # registry on the label's first establishment.
         self._latency: Dict[str, Histogram] = {}
 
-    def _add(self, table: Dict[str, BinnedSeries], label: str,
-             t: float) -> None:
-        series = table.get(label)
-        if series is None:
-            series = BinnedSeries(self.bin_width)
-            table[label] = series
-        series.add(t)
-
     # ------------------------------------------------------------------
     # Lifecycle hooks (called by host models)
     # ------------------------------------------------------------------
     def open(self, label: str) -> ConnectionRecord:
         record = ConnectionRecord(label, self.engine.now)
         self.records.append(record)
-        self._add(self.attempt_series, label, record.t_open)
         return record
 
     def established(self, record: ConnectionRecord,
@@ -183,7 +170,6 @@ class ConnectionTracker(ConnectionLog):
         now = record.t_established = self.engine.now
         record.challenged = challenged
         label = record.label
-        self._add(self.established_series, label, now)
         latency = self._latency.get(label)
         if latency is None:
             latency = self._hist.hist(f"handshake_latency.{label}")
@@ -192,11 +178,9 @@ class ConnectionTracker(ConnectionLog):
 
     def completed(self, record: ConnectionRecord) -> None:
         record.t_completed = self.engine.now
-        self._add(self.completed_series, record.label, record.t_completed)
 
     def failed(self, record: ConnectionRecord, reason: str) -> None:
         if record.t_failed is not None:
             return
         record.t_failed = self.engine.now
         record.reason = reason
-        self._add(self.failed_series, record.label, record.t_failed)

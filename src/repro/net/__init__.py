@@ -1,4 +1,4 @@
-"""Network substrate: addresses, packets, links, topology, capture.
+"""Network substrate: addresses, packets, links, topology.
 
 Substitutes for the paper's DETER testbed network (Figure 16): three fully
 connected backbone routers at 1 Gbps, the server on a 1 Gbps access link,
@@ -18,7 +18,6 @@ from repro.net.packet import Packet, TCPFlags, TCPOptions
 from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.topology import Topology, deter_topology
-from repro.net.pcap import PacketCapture, RingCapture
 
 __all__ = [
     "AddressAllocator",
@@ -32,6 +31,4 @@ __all__ = [
     "Network",
     "Topology",
     "deter_topology",
-    "PacketCapture",
-    "RingCapture",
 ]

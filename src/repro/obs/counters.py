@@ -33,6 +33,8 @@ CATALOGUE: Dict[str, str] = {
     "ListenOverflows": "SYNs dropped because the listen queue was full",
     "HalfOpenExpired":
         "half-open connections reaped after SYN-ACK retry exhaustion",
+    "HalfOpenReclaimed":
+        "half-open connections reclaimed by injected memory pressure",
     # -- listener, completion side ------------------------------------
     "SynCookiesRecv": "handshakes completed by a valid cookie echo",
     "SynCookiesFailed": "completing ACKs whose cookie failed validation",
@@ -69,7 +71,8 @@ CATALOGUE: Dict[str, str] = {
         "SYNs dropped by the listener's token-bucket admission control",
     # -- fault injection ------------------------------------------------
     "MemoryPressureReclaims":
-        "queue/cache entries reclaimed by injected memory pressure",
+        "established connections reclaimed from the accept queue by "
+        "injected memory pressure",
     # -- tooling ---------------------------------------------------------
     "cache_corrupt_entries":
         "result-cache entries dropped because their pickle was corrupt "
@@ -94,6 +97,7 @@ CATALOGUE: Dict[str, str] = {
 DROP_CAUSES: Tuple[str, ...] = (
     "ListenOverflows",
     "HalfOpenExpired",
+    "HalfOpenReclaimed",
     "AcceptOverflows",
     "DeceptionAcksIgnored",
     "PlainAcksIgnored",

@@ -96,12 +96,6 @@ class DefenseConfig:
     #: completion churn create, or in-flight plain ACKs chain through the
     #: transient gaps at the accept-drain rate (see DESIGN.md).
     ack_discipline_hold: float = 2.0
-    #: Reap SYN-cache records older than this many seconds (BSD reaps a
-    #: syncache entry once its SYN-ACK retries are exhausted). ``None``
-    #: (the default) keeps the churn-only baseline the paper discusses;
-    #: the chaos harness sets it so the "cache entries always expire"
-    #: invariant is enforceable.
-    syncache_lifetime: Optional[float] = None
     #: Syncache occupancy fraction at which the listener stops inserting
     #: and serves stateless cookies instead (the FreeBSD-style overload
     #: fallback). ``None`` (the default) disables the fallback rung
@@ -241,12 +235,11 @@ class ListenSocket:
         if (self.config.mode is DefenseMode.SYNCACHE
                 and self.config.syncache is None):
             self.config.syncache = SynCache()
-        if self.config.syncache is not None:
-            self.config.syncache.mib = self.mib
         self._syncache_reaper = None
-        if (self.config.syncache is not None
-                and self.config.syncache_lifetime is not None):
-            self._arm_syncache_reaper()
+        if self.config.syncache is not None:
+            self.config.syncache.counters = self.mib
+            if self.config.syncache.lifetime is not None:
+                self._arm_syncache_reaper()
         self._attack_until = 0.0
         # The compiled path for blackholed SYN-ACKs (see
         # repro.net.floodpath); resolved lazily on first use. None =
@@ -489,20 +482,20 @@ class ListenSocket:
         self._arm_synack_timer(tcb)
 
     def _arm_syncache_reaper(self) -> None:
-        # Rotating shard sweep: each timer-wheel tick reaps one shard,
-        # and every shard is visited once per quarter lifetime — so
-        # entries overstay by at most lifetime/4 (within the invariant
-        # checker's bound) while each tick touches only buckets/shards
-        # buckets instead of stalling on the whole table.
+        # Rotating stripe sweep: each timer-wheel tick reaps one stripe
+        # of buckets, and every stripe is visited once per quarter
+        # lifetime — so entries overstay by at most lifetime/4 (within
+        # the invariant checker's bound) while each tick touches only
+        # buckets/stripes buckets instead of stalling on the whole table.
         cache = self.config.syncache
-        interval = self.config.syncache_lifetime / (4.0 * cache.shard_count)
+        interval = cache.lifetime / (4.0 * cache.shard_count)
         self._reap_shard = 0
         self._syncache_reaper = self.host.engine.schedule(
             interval, self._syncache_reap, interval)
 
     def _syncache_reap(self, interval: float) -> None:
         cache = self.config.syncache
-        cutoff = self.host.engine.now - self.config.syncache_lifetime
+        cutoff = self.host.engine.now - cache.lifetime
         cache.expire_shard_older_than(self._reap_shard, cutoff)
         self._reap_shard = (self._reap_shard + 1) % cache.shard_count
         self._syncache_reaper = self.host.engine.schedule(
@@ -786,20 +779,27 @@ class ListenSocket:
 
         Passing a smaller bound evicts entries immediately (oldest
         half-opens, newest un-accepted connections, oldest cache records);
-        a larger bound restores headroom without creating state. Returns
+        a larger bound restores headroom without creating state. Each
+        reclaimed half-open is a failed handshake, booked as
+        ``HalfOpenReclaimed``; a reclaimed connection already counted as
+        established, so it books ``MemoryPressureReclaims``. Returns
         ``{"listen": n, "accept": n, "syncache": n}`` eviction counts.
         """
         evicted = {"listen": 0, "accept": 0, "syncache": 0}
         if listen_backlog is not None:
-            evicted["listen"] = self.listen_queue.resize(listen_backlog)
+            reaped = self.listen_queue.resize(listen_backlog)
+            for tcb in reaped:
+                self._refuse("HalfOpenReclaimed", tcb.remote_ip,
+                             tcb.remote_port, "expire",
+                             reason="memory-pressure")
+            evicted["listen"] = len(reaped)
         if accept_backlog is not None:
             shed = self.accept_queue.resize(accept_backlog)
             for connection in shed:
                 self.stack.forget_server(connection)
+            if shed:
+                self._mib_incr("MemoryPressureReclaims", len(shed))
             evicted["accept"] = len(shed)
-        reclaimed = evicted["listen"] + evicted["accept"]
-        if reclaimed:
-            self._mib_incr("MemoryPressureReclaims", reclaimed)
         if syncache_limit is not None and self.config.syncache is not None:
             evicted["syncache"] = self.config.syncache.set_bucket_limit(
                 syncache_limit)

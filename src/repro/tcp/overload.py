@@ -80,10 +80,9 @@ class OverloadConfig:
     the same contract as :class:`~repro.obs.timeseries.TelemetrySpec`.
     """
 
-    # -- sharded syncache construction -------------------------------
+    # -- syncache construction ---------------------------------------
     syncache_buckets: int = 512
     syncache_bucket_limit: int = 30
-    syncache_shards: Optional[int] = None
     syncache_policy: str = "oldest-per-bucket"
     #: Bytes the cache may hold resident (None = structural capacity).
     syncache_memory_budget: Optional[int] = None
@@ -470,12 +469,10 @@ class OverloadWatchdog:
         if cache is not None:
             payload["syncache"] = {
                 "policy": cache.policy,
-                "shards": cache.shard_count,
                 "max_entries": cache.max_entries,
                 "memory_budget": cache.memory_budget,
                 "occupancy_bytes": cache.occupancy_bytes,
-                "rejected": cache.rejected,
-                "shard_stats": cache.shard_stats(),
+                "rejected": listener.mib["SynCacheRejects"],
             }
         if listener.admission is not None:
             payload["admission"] = listener.admission.snapshot()

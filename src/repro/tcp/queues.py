@@ -3,13 +3,14 @@
 These two bounded structures are the attack surface: a SYN flood aims to
 fill the listen queue with half-open state; a connection flood aims to fill
 the accept queue with completed handshakes (§2.1). Both expose occupancy
-and drop counters for the Figure 10 measurements.
+for the Figure 10 measurements and the conservation counters the invariant
+checker audits; the listener books every refusal in the host MIB.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Iterator, Optional, Tuple, TYPE_CHECKING
+from typing import Deque, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.tcp.tcb import HalfOpenTCB
@@ -33,7 +34,6 @@ class ListenQueue:
             raise SimulationError(f"backlog must be >= 1, got {backlog}")
         self.backlog = backlog
         self._table: "OrderedDict[Flow, HalfOpenTCB]" = OrderedDict()
-        self.drops_full = 0        # SYNs rejected because the queue was full
         self.expired = 0           # half-opens reaped after retry exhaustion
         self.completed = 0         # half-opens promoted to ESTABLISHED
         self.admitted = 0          # half-opens actually inserted
@@ -53,14 +53,13 @@ class ListenQueue:
         return self._table.get(flow)
 
     def try_add(self, tcb: HalfOpenTCB) -> bool:
-        """Insert a half-open TCB; False (and a drop count) when full."""
+        """Insert a half-open TCB; False when the queue is full."""
         if tcb.flow in self._table:
             # Retransmitted SYN for an existing half-open: not a new
             # entry — recognised even when the queue is full, as a real
             # stack's reqsk lookup would.
             return True
         if self.full:
-            self.drops_full += 1
             return False
         self._table[tcb.flow] = tcb
         self.admitted += 1
@@ -86,21 +85,22 @@ class ListenQueue:
             self.expired += 1
         return tcb
 
-    def resize(self, backlog: int) -> int:
+    def resize(self, backlog: int) -> List[HalfOpenTCB]:
         """Change the backlog bound, evicting oldest-first on shrink.
 
         Models memory-pressure reclaim (``tcp_syn_retries`` pruning under
         ``tcp_mem`` pressure): entries beyond the new bound are reaped
-        immediately, their timers cancelled. Returns the eviction count.
+        immediately, their timers cancelled. Returns the evicted TCBs,
+        oldest first, so the caller can book each failed handshake.
         """
         if backlog < 1:
             raise SimulationError(f"backlog must be >= 1, got {backlog}")
-        evicted = 0
+        evicted = []
         while len(self._table) > backlog:
             _, tcb = self._table.popitem(last=False)
             tcb.cancel_timer()
-            evicted += 1
-        self.pressure_evicted += evicted
+            evicted.append(tcb)
+        self.pressure_evicted += len(evicted)
         self.backlog = backlog
         return evicted
 
@@ -121,7 +121,6 @@ class AcceptQueue:
             raise SimulationError(f"backlog must be >= 1, got {backlog}")
         self.backlog = backlog
         self._queue: Deque["ServerConnection"] = deque()
-        self.drops_full = 0
         self.enqueued = 0
         self.accepted = 0
         self.pressure_evicted = 0  # reclaimed by injected memory pressure
@@ -134,8 +133,8 @@ class AcceptQueue:
         return len(self._queue) >= self.backlog
 
     def try_add(self, connection: "ServerConnection") -> bool:
+        """Enqueue an established connection; False when full."""
         if self.full:
-            self.drops_full += 1
             return False
         self._queue.append(connection)
         self.enqueued += 1
@@ -148,7 +147,7 @@ class AcceptQueue:
         self.accepted += 1
         return self._queue.popleft()
 
-    def resize(self, backlog: int) -> list:
+    def resize(self, backlog: int) -> List["ServerConnection"]:
         """Change the backlog bound; returns connections evicted on shrink.
 
         Newest entries go first — they are the ones the application has

@@ -1,6 +1,6 @@
 """Scenario-level eviction-policy equivalence: new syncache vs seed.
 
-The sharded, policy-pluggable :class:`~repro.tcp.syncache.SynCache` must
+The policy-pluggable :class:`~repro.tcp.syncache.SynCache` must
 be *byte-identical* to the pre-rework implementation on its default
 policy — not just unit-equivalent (tests/tcp/test_syncache.py covers
 that) but through a whole fig7-style SYN-flood cell: same MIB counters,
@@ -48,7 +48,8 @@ if impl == "legacy":
             self.insertions = 0
             self.completions = 0
             self.expired = 0
-            self.mib = None
+            self.lifetime = None
+            self.counters = None
 
         def _bucket_for(self, flow):
             material = (self._secret + flow[0].to_bytes(4, "big")
@@ -72,20 +73,20 @@ if impl == "legacy":
             if len(bucket) >= self.bucket_limit:
                 bucket.popitem(last=False)
                 self.evictions += 1
-                if self.mib is not None:
-                    self.mib.incr("SynCacheEvictions")
+                if self.counters is not None:
+                    self.counters.incr("SynCacheEvictions")
             bucket[entry.flow] = entry
             self.insertions += 1
-            if self.mib is not None:
-                self.mib.incr("SynCacheAdded")
+            if self.counters is not None:
+                self.counters.incr("SynCacheAdded")
             return True
 
         def complete(self, flow):
             entry = self._bucket_for(flow).pop(flow, None)
             if entry is not None:
                 self.completions += 1
-                if self.mib is not None:
-                    self.mib.incr("SynCacheHits")
+                if self.counters is not None:
+                    self.counters.incr("SynCacheHits")
             return entry
 
         def expire_older_than(self, cutoff):
@@ -97,8 +98,8 @@ if impl == "legacy":
                     del bucket[flow]
                     reaped += 1
             self.expired += reaped
-            if reaped and self.mib is not None:
-                self.mib.incr("SynCacheExpired", reaped)
+            if reaped and self.counters is not None:
+                self.counters.incr("SynCacheExpired", reaped)
             return reaped
 
         def oldest_created_at(self):

@@ -116,7 +116,7 @@ class TestSeededCorruption:
         listener = _listen(mini_net, mode=DefenseMode.SYNCACHE)
         checker = InvariantChecker(listener)
         checker.check_now()  # balanced while idle
-        listener.config.syncache.shards[0].insertions += 1
+        listener.mib.incr("SynCacheAdded")  # an insert with no record
         with pytest.raises(InvariantViolation) as info:
             checker.check_now()
         assert info.value.invariant == "syncache-accounting"

@@ -179,9 +179,7 @@ class TestSparklineSeries:
             original(packet)
 
         listener.host.send = spy
-        from repro.experiments.ablations import _run_built
-
-        _run_built(scenario, result)
+        scenario.drive(result)
         start, end = result.attack_window()
         # Whole bins only: stop one bin short of the attack boundary.
         pre = challenged.window_sum(0.0, start - 1.0)

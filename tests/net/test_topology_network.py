@@ -9,7 +9,6 @@ from repro.errors import NetworkError
 from repro.net.addresses import AddressAllocator
 from repro.net.network import Network
 from repro.net.packet import Packet, TCPFlags
-from repro.net.pcap import PacketCapture, RingCapture
 from repro.net.topology import GBPS, MBPS, Topology, deter_topology
 from repro.sim.engine import Engine
 
@@ -188,37 +187,3 @@ class TestNetwork:
         engine.run()
         assert network.packets_dropped > 0
         assert len(server.received) < 1000
-
-
-class TestCapture:
-    def test_packet_capture_routes_events(self):
-        engine, network, server, clients = _fabric()
-        capture = PacketCapture()
-        network.add_tap(capture.tap)
-        seen = []
-        capture.subscribe(seen.append,
-                          predicate=lambda r: r.event == "deliver")
-        packet = Packet(src_ip=clients[0].address, dst_ip=server.address,
-                        src_port=1000, dst_port=80)
-        network.send(clients[0], packet)
-        engine.run()
-        assert len(seen) == 1
-        assert seen[0].packet is packet
-
-    def test_ring_capture_bounded(self):
-        ring = RingCapture(capacity=5)
-        for i in range(10):
-            ring.tap(float(i), Packet(src_ip=1, dst_ip=2, src_port=1,
-                                      dst_port=2), "send")
-        assert len(ring) == 5
-        assert ring.records[0].time == 5.0
-
-    def test_ring_filter(self):
-        ring = RingCapture()
-        ring.tap(0.0, Packet(src_ip=1, dst_ip=2, src_port=1, dst_port=2),
-                 "send")
-        ring.tap(1.0, Packet(src_ip=2, dst_ip=1, src_port=2, dst_port=1),
-                 "drop")
-        assert len(ring.filter(lambda r: r.event == "drop")) == 1
-        ring.clear()
-        assert len(ring) == 0

@@ -1,9 +1,9 @@
 """Protocol behaviour under injected faults (loss, corruption).
 
-Satellite coverage for the robustness layer: half-open expiry when the
-network eats SYN-ACKs, and the §5 RST-on-data deception when a puzzle
-solution is corrupted in flight — in both cases with the invariant
-checker riding along, so a leaked TCB or a drop-cause accounting slip
+Coverage for the robustness layer: half-open expiry when the network
+eats SYN-ACKs, half-opens reclaimed by memory pressure, and the §5
+RST-on-data deception when a puzzle solution is corrupted in flight —
+with the invariant checker riding along, so a leaked TCB or a drop-cause accounting slip
 fails the test rather than hiding in an average.
 """
 
@@ -18,6 +18,7 @@ from repro.faults import (
     OptionCorruption,
 )
 from repro.net.packet import Packet, TCPFlags, TCPOptions
+from repro.obs import drop_attribution
 from repro.puzzles.params import PuzzleParams
 from repro.tcp.connection import ClientConnConfig
 from repro.tcp.constants import DefenseMode
@@ -76,6 +77,33 @@ class TestHalfOpenExpiryUnderLoss:
         # Conservation by hand, on top of the checker's audit.
         queue = listener.listen_queue
         assert queue.admitted == queue.completed + queue.expired
+
+
+class TestMemoryPressureReclaim:
+    def test_every_failed_handshake_has_a_drop_cause(self, mini_net):
+        """Half-opens reclaimed by memory pressure are failed handshakes:
+        each books ``HalfOpenReclaimed``, so the attribution accounts
+        for all eight SYNs."""
+        listener = _listen(mini_net, backlog=8)
+        checker = InvariantChecker(listener, interval=0.1)
+        checker.start()
+        for port in range(8):
+            mini_net.network.send(mini_net.client, Packet(
+                src_ip=0xAC100001, dst_ip=mini_net.server.address,
+                src_port=2000 + port, dst_port=80, seq=port,
+                flags=TCPFlags.SYN, options=TCPOptions(mss=1460)))
+        mini_net.run(until=0.05)
+        assert len(listener.listen_queue) == 8
+        evicted = listener.apply_memory_pressure(listen_backlog=2)
+        assert evicted["listen"] == 6
+        mini_net.run(until=200.0)
+        checker.final_check()
+        assert listener.stats.established_total() == 0
+        attribution = drop_attribution(listener.mib)
+        assert attribution == {"HalfOpenExpired": 2, "HalfOpenReclaimed": 6}
+        assert sum(attribution.values()) == 8
+        # Only accept-queue reclaims count here: they were established.
+        assert listener.mib["MemoryPressureReclaims"] == 0
 
 
 class TestDeceptionUnderCorruption:

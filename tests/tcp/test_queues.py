@@ -20,7 +20,8 @@ class TestListenQueue:
         assert queue.try_add(_tcb(ip=2))
         assert queue.full
         assert not queue.try_add(_tcb(ip=3))
-        assert queue.drops_full == 1
+        assert len(queue) == 2
+        assert queue.admitted == 2       # the refusal is not an admission
 
     def test_retransmitted_syn_not_a_new_entry(self):
         queue = ListenQueue(backlog=2)
@@ -86,7 +87,8 @@ class TestAcceptQueue:
         assert queue.try_add(_FakeConn(1))
         assert queue.full
         assert not queue.try_add(_FakeConn(2))
-        assert queue.drops_full == 1
+        assert len(queue) == 1
+        assert queue.enqueued == 1       # the refusal is not an enqueue
 
     def test_counters(self):
         queue = AcceptQueue(backlog=4)

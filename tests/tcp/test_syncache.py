@@ -78,25 +78,6 @@ class TestShardsAndOccupancy:
         assert SynCache(bucket_count=3).shard_count == 2
         assert SynCache(bucket_count=1).shard_count == 1
 
-    def test_shard_count_validation(self):
-        with pytest.raises(SimulationError):
-            SynCache(bucket_count=8, shard_count=3)  # not a power of two
-        with pytest.raises(SimulationError):
-            SynCache(bucket_count=4, shard_count=8)  # exceeds buckets
-
-    def test_shard_stats_sum_to_globals(self):
-        cache = SynCache(bucket_count=16, bucket_limit=2, shard_count=4)
-        entries = [_entry(ip=i) for i in range(40)]
-        for entry in entries:
-            cache.insert(entry)
-        for entry in entries[:10]:
-            cache.complete(entry.flow)
-        assert sum(s.insertions for s in cache.shards) == cache.insertions
-        assert sum(s.evictions for s in cache.shards) == cache.evictions
-        assert sum(s.completions for s in cache.shards) == \
-            cache.completions
-        assert sum(s.live for s in cache.shards) == len(cache)
-
     def test_len_is_incremental_and_matches_recount(self):
         cache = SynCache(bucket_count=16, bucket_limit=2)
         for i in range(200):
@@ -108,17 +89,21 @@ class TestShardsAndOccupancy:
             assert len(cache) == cache.occupancy_recount()
 
     def test_shard_scoped_expiry_leaves_other_shards_alone(self):
-        cache = SynCache(bucket_count=8, bucket_limit=4, shard_count=4)
-        for i in range(64):
+        cache = SynCache(bucket_count=16, bucket_limit=16)
+        assert cache.shard_count == 8   # two buckets per stripe
+        for i in range(128):
             cache.insert(_entry(ip=i, created=0.0))
         before = len(cache)
         reaped = cache.expire_shard_older_than(0, cutoff=1.0)
         assert reaped > 0
         assert len(cache) == before - reaped
-        # Only shard 0's buckets may be empty now.
+        assert cache.expired == reaped
+        # Only stripe 0's buckets may be empty now.
         for index in range(cache.bucket_count):
             if index % cache.shard_count != 0:
                 assert len(cache._buckets[index]) > 0
+        with pytest.raises(SimulationError):
+            cache.expire_shard_older_than(cache.shard_count, cutoff=1.0)
 
     def test_lazy_expiry_on_insert(self):
         cache = SynCache(bucket_count=1, bucket_limit=8, lifetime=1.0)
@@ -139,8 +124,9 @@ class TestOverflowPolicies:
         first = _entry(ip=1)
         assert cache.insert(first)
         assert cache.insert(_entry(ip=2))
+        counts = cache.counters.snapshot()
         assert not cache.insert(_entry(ip=3))
-        assert cache.rejected == 1
+        assert cache.counters.snapshot() == counts  # the caller counts it
         assert cache.evictions == 0
         assert cache.insertions == 2       # the reject is not an insert
         assert cache.complete(first.flow) is first  # resident survived
@@ -205,11 +191,10 @@ class TestMemoryBudget:
         cache = SynCache(bucket_count=64, bucket_limit=8,
                          policy="reject-new",
                          memory_budget=10 * ENTRY_BYTES)
-        for i in range(50):
-            cache.insert(_entry(ip=i))
+        refused = sum(not cache.insert(_entry(ip=i)) for i in range(50))
         assert len(cache) == 10
-        assert cache.rejected == 40
-        assert cache.evictions == 0
+        assert refused == 40
+        assert cache.counters.snapshot() == {"SynCacheAdded": 10}
 
     def test_occupancy_fraction_uses_effective_capacity(self):
         from repro.tcp.syncache import ENTRY_BYTES
