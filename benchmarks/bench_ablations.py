@@ -73,10 +73,12 @@ def test_ablation_syncache_churn(benchmark):
 
 
 def test_ablation_synack_retries(benchmark):
-    """DESIGN.md's protection-locking analysis: short half-open lifetimes
-    let strands expire and leak unchallenged attackers."""
-    from dataclasses import replace
-
+    """DESIGN.md's protection-locking analysis: the SYN-ACK retry
+    lifetime is not part of the lock. With one retry (~3 s half-open
+    lifetime) the flood still keeps the listen queue full, and the
+    attackers' steady rate matches the Linux default's (5 retries,
+    ~63 s) to within 10% (DESIGN.md tabulates the measured gaps, none
+    above 4.2%)."""
     from repro.experiments.scenario import Scenario
     from repro.tcp.constants import DefenseMode
 
@@ -85,19 +87,26 @@ def test_ablation_synack_retries(benchmark):
                                        defense=DefenseMode.PUZZLES)
         scenario = Scenario(config)
         result = scenario.build()
-        result.server_app.listener.config.synack_retries = retries
+        listener = result.server_app.listener
+        listener.config.synack_retries = retries
         scenario.drive(result)
-        return result.attacker_steady_state_rate()
+        start, end = result.attack_window()
+        fill = (result.queues.listen_depth.mean_in((start + end) / 2, end)
+                / listener.listen_queue.backlog)
+        return result.attacker_steady_state_rate(), fill
 
     def both():
         return run(1), run(5)
 
-    short, linux_default = benchmark.pedantic(both, rounds=1, iterations=1)
+    (short, short_fill), (linux_default, default_fill) = \
+        benchmark.pedantic(both, rounds=1, iterations=1)
     emit("ablation_synack_retries", render_table(
-        ["synack_retries", "half-open lifetime", "attacker steady cps"],
-        [(1, "~3 s", short), (5, "~63 s (Linux default)",
-                              linux_default)]))
-    assert linux_default <= short + 5.0
+        ["synack_retries", "half-open lifetime", "attacker steady cps",
+         "listen queue fill"],
+        [(1, "~3 s", short, short_fill),
+         (5, "~63 s (Linux default)", linux_default, default_fill)]))
+    assert abs(short - linux_default) <= 0.10 * max(short, linux_default)
+    assert min(short_fill, default_fill) >= 0.99
 
 
 def test_ablation_parameter_sensitivity(benchmark):

@@ -38,7 +38,8 @@ The built-in suite covers the hot paths the optimization PRs will touch:
 * ``hist_record`` — histogram record + quantile read throughput;
 * ``sketch_update`` — per-source attribution sketches fed a spoofed
   /32 SYN stream and a skewed /16 stream (Space-Saving eviction order
-  is pinned by the snapshot checksum);
+  is pinned by the snapshot checksum, the Count-Min rows by a checksum
+  of point estimates over fixed probes);
 * ``client_handshake`` — connect attempts through the full client and
   server stacks on a two-host network, each answered with a SYN cookie
   and installed in the accept queue (the connection flood's path);
@@ -537,6 +538,15 @@ def _bench_sketch_update(iterations: int) -> Dict[str, int]:
     # 48 bits: manifests compare counters as floats, exact below 2**53.
     counters["snapshot_checksum"] = int.from_bytes(digest.digest()[:6],
                                                    "big")
+    # No snapshot carries the Count-Min rows, so checksum point
+    # estimates over fixed probes: the /16 prefixes the skewed stream
+    # draws from and /32s spread over the whole address space.
+    probes = (list(range(0x0A000000, 0x0A400000, 1 << 16))
+              + list(range(0, 1 << 32, 1 << 26)))
+    estimates = [[attribution.estimate_syns(probe) for probe in probes]
+                 for attribution in (spoofed, skewed)]
+    counters["sketch_estimate_checksum"] = int.from_bytes(
+        hashlib.sha256(json.dumps(estimates).encode()).digest()[:6], "big")
     return counters
 
 

@@ -18,6 +18,12 @@ alternatives with *fixed* memory:
   ``1 - e^-depth`` (the standard CM bound with width = e/ε). Hashing is
   integer multiply-shift over the (integer) source address, so
   estimates are deterministic across processes — no salted ``hash()``.
+  An update only buffers its key; every 1,024 keys, and before any
+  read of the rows, the buffer folds into the rows in one
+  numpy pass (uint64 multiply-shift, then one ``bincount``). Count-Min
+  updates commute and uint64 arithmetic wraps modulo 2**64 exactly as
+  the per-key hash masks it, so the rows equal a key-at-a-time
+  sketch's whenever they are read.
 * :class:`SourceAttribution` — the listener-facing bundle: SYN arrivals
   (Space-Saving + Count-Min), terminal drops by cause, and puzzle
   verification failures, all keyed by the source address masked to a
@@ -43,10 +49,16 @@ import random
 from heapq import heappush, heapreplace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.net.addresses import format_ip
 
 _MASK64 = (1 << 64) - 1
+
+#: Keys a :class:`CountMinSketch` buffers before folding them into its
+#: rows in one numpy pass.
+_FOLD_BATCH = 1024
 
 
 class SpaceSaving:
@@ -66,19 +78,20 @@ class SpaceSaving:
         # while its key is tracked, and hits do not touch the heap.
         self._heap: List[Tuple[int, int]] = []
 
-    def update(self, key: int) -> None:
-        """Count one occurrence of *key*."""
+    def update(self, key: int) -> int:
+        """Count one occurrence of *key*; returns its reported count."""
         counts = self._counts
         self.total += 1
         if key in counts:
-            counts[key] += 1
-            return
+            count = counts[key] + 1
+            counts[key] = count
+            return count
         heap = self._heap
         if len(counts) < self.capacity:
             counts[key] = 1
             self._errors[key] = 0
             heappush(heap, (1, key))
-            return
+            return 1
         # Refresh stale pairs until the top holds its key's current
         # count. Every other pair then compares >= the top, and its
         # current count is >= its stored one, so the top is the exact
@@ -99,6 +112,7 @@ class SpaceSaving:
         self._errors[key] = floor
         heapreplace(heap, (floor + 1, key))
         self.evictions += 1
+        return floor + 1
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -161,22 +175,44 @@ class CountMinSketch:
                         for _ in range(self.depth))
         self._b = tuple(rng.randrange(0, 1 << 64)
                         for _ in range(self.depth))
-        self._rows = [[0] * self.width for _ in range(self.depth)]
+        self._rows = np.zeros((self.depth, self.width), dtype=np.int64)
+        #: Keys (mod 2**64) counted in ``total`` but not yet in the rows.
+        self._pending: List[int] = []
 
-    def _index(self, row: int, key: int) -> int:
-        return ((self._a[row] * key + self._b[row]) & _MASK64) \
-            >> self._shift
+    def _columns(self, keys: np.ndarray) -> np.ndarray:
+        """Each uint64 key's column in every row, shape (depth, n):
+        ``(a·k + b) >> shift``, the product and sum wrapping mod 2**64.
+        numpy defines a shift by all 64 bits (width 1) as 0."""
+        a = np.array(self._a, dtype=np.uint64)[:, None]
+        b = np.array(self._b, dtype=np.uint64)[:, None]
+        return ((a * keys + b) >> self._shift).astype(np.intp)
+
+    def _fold(self) -> None:
+        """Add the pending keys to the rows in one pass."""
+        keys = np.array(self._pending, dtype=np.uint64)
+        self._pending.clear()
+        depth, width = self.depth, self.width
+        # Offset each row's columns into one flat index space, so a
+        # single bincount counts every (row, column) hit.
+        flat = (self._columns(keys)
+                + np.arange(0, depth * width, width, dtype=np.intp)[:, None])
+        self._rows += np.bincount(
+            flat.ravel(), minlength=depth * width).reshape(depth, width)
 
     def update(self, key: int) -> None:
         """Count one occurrence of *key*."""
         self.total += 1
-        for row in range(self.depth):
-            self._rows[row][self._index(row, key)] += 1
+        pending = self._pending
+        pending.append(key & _MASK64)
+        if len(pending) >= _FOLD_BATCH:
+            self._fold()
 
     def estimate(self, key: int) -> int:
         """Point estimate for *key*: never below the true count."""
-        return min(self._rows[row][self._index(row, key)]
-                   for row in range(self.depth))
+        if self._pending:
+            self._fold()
+        columns = self._columns(np.array([key & _MASK64], dtype=np.uint64))
+        return int(self._rows[np.arange(self.depth), columns[:, 0]].min())
 
     def error_bound(self) -> float:
         """Additive overcount bound ``e/width × total`` (holds with

@@ -237,10 +237,10 @@ class AdmissionControl:
     def admit(self, src_ip: int, now: float) -> bool:
         """Decide one SYN; updates the heavy-hitter summary either way."""
         key = src_ip & self._mask
-        self.sources.update(key)
+        count = self.sources.update(key)
         config = self.config
         if (config.heavy_hitter_rate is not None
-                and self.sources.count(key) >= config.heavy_hitter_min):
+                and count >= config.heavy_hitter_min):
             tier = self._tiers.get(key)
             if tier is None:
                 if len(self._tiers) >= 2 * config.heavy_hitter_slots:

@@ -105,6 +105,7 @@ class SynCache:
         #: listener arms its reaper from it. ``None`` keeps the
         #: churn-only baseline the paper discusses.
         self.lifetime = lifetime
+        self._set_max_entries()
         self._buckets: List["OrderedDict[Flow, CacheEntry]"] = [
             OrderedDict() for _ in range(bucket_count)
         ]
@@ -158,12 +159,18 @@ class SynCache:
         """Structural bound: ``bucket_count × bucket_limit``."""
         return self.bucket_count * self.bucket_limit
 
-    @property
-    def max_entries(self) -> int:
-        """Effective bound: structural capacity clipped by the budget."""
-        if self.memory_budget is None:
-            return self.capacity
-        return min(self.capacity, self.memory_budget // ENTRY_BYTES)
+    def _set_max_entries(self) -> None:
+        """Set ``max_entries``, the effective bound: structural capacity
+        clipped by the budget (at least 1).
+
+        A plain attribute rather than a property, because every insert
+        and every watermark check reads it; it is reset whenever the
+        bucket limit changes.
+        """
+        limit = self.capacity
+        if self.memory_budget is not None:
+            limit = min(limit, self.memory_budget // ENTRY_BYTES)
+        self.max_entries = limit
 
     @property
     def occupancy_bytes(self) -> int:
@@ -174,8 +181,7 @@ class SynCache:
     @property
     def occupancy_fraction(self) -> float:
         """Fill fraction of the *effective* capacity (watermark input)."""
-        limit = self.max_entries
-        return self._live / limit if limit else 1.0
+        return self._live / self.max_entries
 
     # ------------------------------------------------------------------
     # Counts, read back from the scope the cache books them in
@@ -213,9 +219,9 @@ class SynCache:
             self._reap((bucket,), entry.created_at - self.lifetime)
         if entry.flow in bucket:
             return True  # SYN retransmission
-        over_budget = (self.memory_budget is not None
-                       and self._live >= self.max_entries)
-        if len(bucket) >= self.bucket_limit or over_budget:
+        # Without a budget, max_entries is the structural capacity, which
+        # the live count reaches only when every bucket is full.
+        if len(bucket) >= self.bucket_limit or self._live >= self.max_entries:
             if self.policy == "reject-new":
                 return False
             self._evict_one(index, bucket)
@@ -326,4 +332,5 @@ class SynCache:
             counts["SynCacheEvictions"] = (counts.get("SynCacheEvictions", 0)
                                            + reaped)
         self.bucket_limit = limit
+        self._set_max_entries()
         return reaped

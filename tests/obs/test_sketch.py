@@ -1,8 +1,10 @@
 """Sketch tests: Space-Saving / Count-Min guarantees, bounded memory,
-the heap eviction against the original full scan, and exact-vs-sketch
+the heap eviction against the original full scan, the batched
+Count-Min fold against the original per-key update, and exact-vs-sketch
 agreement against real flood scenarios."""
 
 import json
+import pickle
 import random
 
 import pytest
@@ -11,7 +13,10 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SimulationError
 from repro.obs import CountMinSketch, SpaceSaving, SourceAttribution
 from repro.obs.counters import DROP_CAUSES
+from repro.obs.sketch import _FOLD_BATCH
 from repro.obs.timeseries import TelemetrySpec
+
+_MASK64 = (1 << 64) - 1
 
 
 def _zipf_stream(n_keys, n_updates, seed=7):
@@ -23,18 +28,20 @@ def _zipf_stream(n_keys, n_updates, seed=7):
 
 class _ScanSpaceSaving(SpaceSaving):
     """Reference oracle: the original O(capacity) eviction scan, kept
-    verbatim. It never touches the inherited ``_heap``."""
+    verbatim except that it returns the key's reported count, as
+    ``SpaceSaving.update`` does. It never touches the inherited
+    ``_heap``."""
 
-    def update(self, key: int, n: int = 1) -> None:
+    def update(self, key: int, n: int = 1) -> int:
         counts = self._counts
         self.total += n
         if key in counts:
             counts[key] += n
-            return
+            return counts[key]
         if len(counts) < self.capacity:
             counts[key] = n
             self._errors[key] = 0
-            return
+            return n
         # Recycle the minimum-count slot; ties break on the smaller key
         # so eviction order is deterministic across runs and platforms.
         victim = min(counts, key=lambda k: (counts[k], k))
@@ -43,6 +50,50 @@ class _ScanSpaceSaving(SpaceSaving):
         counts[key] = floor + n
         self._errors[key] = floor
         self.evictions += 1
+        return floor + n
+
+
+class _KeyedCountMin(CountMinSketch):
+    """Reference oracle: the original per-key Count-Min update, kept
+    verbatim over list rows. It never touches the inherited buffer."""
+
+    def __init__(self, width: int, depth: int, seed: int = 0) -> None:
+        super().__init__(width, depth, seed)
+        self._rows = [[0] * self.width for _ in range(self.depth)]
+
+    def _index(self, row: int, key: int) -> int:
+        return ((self._a[row] * key + self._b[row]) & _MASK64) \
+            >> self._shift
+
+    def update(self, key: int) -> None:
+        """Count one occurrence of *key*."""
+        self.total += 1
+        for row in range(self.depth):
+            self._rows[row][self._index(row, key)] += 1
+
+    def estimate(self, key: int) -> int:
+        """Point estimate for *key*: never below the true count."""
+        return min(self._rows[row][self._index(row, key)]
+                   for row in range(self.depth))
+
+
+def _hostile_keys(seed, length):
+    """Keys the multiply-shift hash must reduce mod 2**64: negative
+    keys, keys at and above 2**64, /32 addresses, and repeats."""
+    rng = random.Random(seed)
+    pool = [rng.randrange(-(1 << 70), 1 << 70) for _ in range(8)]
+    keys = []
+    for _ in range(length):
+        roll = rng.random()
+        if roll < 0.3:
+            keys.append(rng.choice(pool))
+        elif roll < 0.5:
+            keys.append(rng.getrandbits(32))
+        elif roll < 0.7:
+            keys.append(-rng.getrandbits(66))
+        else:
+            keys.append((1 << 64) + rng.getrandbits(70))
+    return keys
 
 
 def _mixed_stream(seed, length, fresh_share, alpha):
@@ -132,8 +183,8 @@ class TestHeapMatchesScan:
         sketch = SpaceSaving(capacity)
         reference = _ScanSpaceSaving(capacity)
         for key in _mixed_stream(seed, length, fresh_share, alpha):
-            sketch.update(key)
-            reference.update(key)
+            reported = sketch.update(key)
+            assert reference.update(key) == reported == sketch.count(key)
             assert sketch._counts == reference._counts
             assert sketch._errors == reference._errors
             assert sketch.evictions == reference.evictions
@@ -207,6 +258,59 @@ class TestCountMinSketch:
     def test_rejects_bad_shape(self):
         with pytest.raises(SimulationError):
             CountMinSketch(width=0, depth=1)
+
+
+class TestBatchedFoldMatchesPerKey:
+    """Buffered keys folded in numpy batches leave exactly the rows and
+    estimates of the per-key update: Count-Min updates commute, and
+    uint64 arithmetic wraps mod 2**64 as the per-key hash masks it."""
+
+    @given(width=st.sampled_from([1, 2, 3, 512]),
+           depth=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1),
+           segments=st.lists(
+               st.tuples(
+                   st.lists(st.one_of(
+                       st.integers(-(1 << 72), 1 << 72),
+                       st.sampled_from([0, 1, -1, _MASK64, 1 << 64,
+                                        -(1 << 64), (1 << 64) + 1])),
+                       max_size=8),
+                   st.integers(0, _FOLD_BATCH + 300),
+                   st.integers(0, 2**32 - 1)),
+               min_size=1, max_size=4))
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    def test_rows_and_estimates_match_after_every_read(
+            self, width, depth, seed, segments):
+        sketch = CountMinSketch(width, depth, seed)
+        oracle = _KeyedCountMin(width, depth, seed)
+        # Width 1 leaves no column bits: the shift is the full 64.
+        assert (sketch._shift == 64) == (width == 1)
+        seen = set()
+        for drawn, filler, filler_seed in segments:
+            keys = drawn + _hostile_keys(filler_seed, filler) + drawn
+            for key in keys:
+                sketch.update(key)
+                oracle.update(key)
+            assert len(sketch._pending) < _FOLD_BATCH
+            seen.update(keys)
+            assert sketch.total == oracle.total
+            for key in sorted(seen):
+                assert sketch.estimate(key) == oracle.estimate(key)
+            assert sketch._rows.tolist() == oracle._rows
+
+    def test_pickled_pending_keys_unpickle_to_same_estimates(self):
+        sketch = CountMinSketch(width=64, depth=4, seed=3)
+        oracle = _KeyedCountMin(64, 4, 3)
+        keys = _hostile_keys(11, _FOLD_BATCH + 200)
+        for key in keys:
+            sketch.update(key)
+            oracle.update(key)
+        assert len(sketch._pending) == 200
+        clone = pickle.loads(pickle.dumps(sketch))
+        assert clone.total == oracle.total
+        for key in set(keys):
+            assert clone.estimate(key) == oracle.estimate(key)
+        assert clone._rows.tolist() == oracle._rows
 
 
 class TestSourceAttribution:
