@@ -34,11 +34,12 @@
 #      watchdog recovery; the overload series land in
 #      benchmarks/output/overload/ for the CI artifact upload, and a
 #      ladder-disabled manifest must stay free of overload blocks;
-#   9. a streaming-telemetry smoke: two same-seed scenarios with the
-#      sim-time sampler attached must produce byte-identical series
-#      snapshots, a tiny `sweep --live` must leave a parseable status
-#      file in benchmarks/output/ (the CI artifact), and `top --once`
-#      must render it;
+#   9. a streaming-telemetry smoke: two same-seed scenarios with
+#      telemetry on (the run's one sim-time sampler records the series)
+#      must produce byte-identical series snapshots, a tiny
+#      `sweep --live` must leave a parseable status file in
+#      benchmarks/output/ (the CI artifact), and `top --once` must
+#      render it;
 #  10. the paper claims: `validate` re-runs the 14 machine-checked claims
 #      of the reproduction gate at reduced scale and exits non-zero when
 #      any claim fails, so a refactor that flips a paper outcome fails
@@ -314,8 +315,8 @@ print("overload smoke: ladder-disabled manifest clean")
 PYEOF
 
 echo "== streaming telemetry smoke =="
-# Two same-seed runs with the sampler and the attribution sketches
-# attached must produce byte-identical telemetry snapshots — the
+# Two same-seed runs with telemetry and the attribution sketches on
+# must produce byte-identical telemetry snapshots — the
 # determinism contract the manifests and the sweep cache both rely on.
 python - <<'PYEOF'
 import json

@@ -550,8 +550,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         result = Scenario(config).run()
     obs = result.obs
     tracer = obs.tracer
-    series = result.sampler.as_dict() if result.sampler is not None \
-        else None
+    series = result.sampler.as_dict()
 
     if args.format == "chrome":
         # One span per traced handshake (plus telemetry counter tracks

@@ -25,9 +25,7 @@ from repro.hosts.cpu import CPU_CATALOG, SERVER_CPU, CPUProfile
 from repro.hosts.host import Host
 from repro.hosts.server import AppServer, ServerConfig
 from repro.metrics.connections import ConnectionTracker
-from repro.metrics.cpuutil import CPUUtilizationSampler
 from repro.metrics.series import BinnedSeries
-from repro.metrics.queues import QueueSampler
 from repro.metrics.summary import Summary, describe
 from repro.metrics.throughput import HostThroughput
 from repro.net.addresses import AddressAllocator
@@ -35,6 +33,7 @@ from repro.net.network import Network
 from repro.net.topology import Topology, deter_topology
 from repro.obs import (Observability, SimSampler, SourceAttribution,
                        TelemetrySpec, hub_for)
+from repro.obs.timeseries import CPUUtilization, QueueDepths
 from repro.puzzles.juels import JuelsBrainardScheme
 from repro.puzzles.params import PuzzleParams
 from repro.sim.engine import Engine
@@ -98,8 +97,6 @@ class ScenarioConfig:
     idle_timeout: float = 0.57
     # --- measurement -----------------------------------------------------
     bin_width: float = 1.0
-    cpu_sample_interval: float = 1.0
-    queue_sample_interval: float = 0.5
     # --- observability ---------------------------------------------------
     #: Record handshake tracepoints (ring-buffered; off by default so the
     #: hot path stays a single flag test).
@@ -108,8 +105,8 @@ class ScenarioConfig:
     #: Streaming telemetry (:class:`~repro.obs.TelemetrySpec`): sim-time
     #: series sampled on a fixed cadence, plus optional bounded-memory
     #: per-source attribution sketches on the listener. ``None`` (the
-    #: default) builds nothing — no sampler, no scheduled events, no
-    #: per-event cost.
+    #: default) records no telemetry series, schedules nothing beyond
+    #: the run's one sampler tick, and adds no per-event cost.
     telemetry: Optional[TelemetrySpec] = None
     #: Graceful-degradation ladder (:class:`~repro.tcp.overload.
     #: OverloadConfig`): budgeted syncache construction, the
@@ -252,8 +249,10 @@ class ScenarioResult(RunMeasures):
     tracker: ConnectionTracker
     server_throughput: HostThroughput
     client_throughput: HostThroughput   # the paper's "a client" (client0)
-    cpu: CPUUtilizationSampler
-    queues: QueueSampler
+    #: The run's one periodic reader: the Figure 9/10 series (read
+    #: through :attr:`cpu` and :attr:`queues`) and, when
+    #: ``config.telemetry`` is set, the telemetry series.
+    sampler: SimSampler
     server_app: AppServer
     botnet: Optional[Botnet]
     clients: List[BenignClient]
@@ -264,9 +263,6 @@ class ScenarioResult(RunMeasures):
         default_factory=dict)
     #: The engine's observability hub (SNMP counters + handshake tracer).
     obs: Optional[Observability] = None
-    #: Streaming-telemetry sampler, present when ``config.telemetry``
-    #: was set.
-    sampler: Optional[SimSampler] = None
     #: Bounded-memory per-source attribution sketches, present when
     #: ``config.telemetry`` asked for them.
     attribution: Optional[SourceAttribution] = None
@@ -282,6 +278,14 @@ class ScenarioResult(RunMeasures):
     @property
     def listener_stats(self):
         return self.server_app.listener.stats
+
+    @property
+    def cpu(self) -> CPUUtilization:
+        return self.sampler.cpu
+
+    @property
+    def queues(self) -> QueueDepths:
+        return self.sampler.queues
 
     @property
     def attack_stats(self) -> Optional[AttackStats]:
@@ -428,21 +432,16 @@ class Scenario:
         cpu_hosts = [hosts["client0"], server_host]
         if botnet is not None:
             cpu_hosts.append(hosts["attacker0"])
-        cpu = CPUUtilizationSampler(engine, cpu_hosts,
-                                    config.cpu_sample_interval)
-        queues = QueueSampler(engine, server_app.listener,
-                              config.queue_sample_interval)
+        sampler = SimSampler(engine, obs, config.telemetry,
+                             listener=server_app.listener,
+                             cpu_hosts=cpu_hosts, duration=config.duration)
 
-        # --- streaming telemetry (opt-in) ------------------------------
-        sampler: Optional[SimSampler] = None
+        # --- per-source attribution (opt-in) ---------------------------
         attribution: Optional[SourceAttribution] = None
-        if config.telemetry is not None:
-            sampler = SimSampler(engine, obs, config.telemetry,
-                                 listener=server_app.listener)
-            if config.telemetry.attribution:
-                attribution = SourceAttribution.from_spec(
-                    config.telemetry, seed=config.seed)
-                server_app.listener.attribution = attribution
+        if config.telemetry is not None and config.telemetry.attribution:
+            attribution = SourceAttribution.from_spec(
+                config.telemetry, seed=config.seed)
+            server_app.listener.attribution = attribution
 
         # --- graceful-degradation ladder (opt-in) ----------------------
         watchdog: Optional[OverloadWatchdog] = None
@@ -457,11 +456,10 @@ class Scenario:
             config=config, engine=engine, tracker=tracker,
             server_throughput=server_throughput,
             client_throughput=client_throughput,
-            cpu=cpu, queues=queues, server_app=server_app, botnet=botnet,
+            sampler=sampler, server_app=server_app, botnet=botnet,
             clients=clients, hosts=hosts,
             server_established=server_established,
-            obs=obs, sampler=sampler,
-            attribution=attribution, watchdog=watchdog)
+            obs=obs, attribution=attribution, watchdog=watchdog)
 
     # ------------------------------------------------------------------
     def run(self) -> ScenarioResult:
@@ -474,7 +472,7 @@ class Scenario:
         """Run a built scenario to the configured duration, then drain it.
 
         Installs the fault schedule and the invariant checker, starts the
-        clients, the samplers, the watchdog and (staggered) the botnet,
+        clients, the sampler, the watchdog and (staggered) the botnet,
         and stops them all at the end. Experiments that adjust a built
         scenario before it runs call this instead of :meth:`run`.
         """
@@ -501,10 +499,7 @@ class Scenario:
             result.invariants = checker
         for client in result.clients:
             client.start()
-        result.cpu.start()
-        result.queues.start()
-        if result.sampler is not None:
-            result.sampler.start()
+        result.sampler.start()
         if result.watchdog is not None:
             result.watchdog.start()
         if result.botnet is not None:
@@ -518,10 +513,7 @@ class Scenario:
         result.engine.run(until=config.duration)
         for client in result.clients:
             client.stop()
-        result.cpu.stop()
-        result.queues.stop()
-        if result.sampler is not None:
-            result.sampler.stop()
+        result.sampler.stop()
         if result.watchdog is not None:
             result.watchdog.stop()
         if checker is not None:

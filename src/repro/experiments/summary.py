@@ -1,16 +1,18 @@
 """Picklable scenario summaries — what sweep workers send back.
 
 A :class:`~repro.experiments.scenario.ScenarioResult` owns the live
-simulation (engine, hosts, callbacks, samplers) and therefore cannot
+simulation (engine, hosts, callbacks, sampler) and therefore cannot
 cross a process boundary or be cached on disk. :func:`summarize` copies
 its measurements into a :class:`ScenarioSummary` as plain data:
-throughput taps, the CPU and queue-depth samples, the connection log,
+throughput taps, the CPU and queue-depth series, the connection log,
 listener/SNMP counters and engine statistics. It computes nothing. The
-samplers and the tracker extend the plain-data classes the summary
-holds (:mod:`repro.metrics`), and both objects inherit the run-level
-queries from :class:`~repro.experiments.scenario.RunMeasures`, so
-experiments, benchmarks and the CLI read either one through the same
-code.
+run's sampler keeps its CPU and queue-depth series in the plain-data
+:class:`~repro.obs.timeseries.CPUUtilization` and
+:class:`~repro.obs.timeseries.QueueDepths`, which the summary holds as
+they are; the tracker extends the plain-data connection log the summary
+holds; and both objects inherit the run-level queries from
+:class:`~repro.experiments.scenario.RunMeasures`, so experiments,
+benchmarks and the CLI read either one through the same code.
 
 ``ScenarioSummary.as_payload()`` is the deterministic face: its engine
 block keeps only the statistics every engine core computes identically
@@ -28,12 +30,11 @@ from typing import Dict, Optional
 from repro.experiments.scenario import RunMeasures, Scenario
 from repro.hosts.attacker import AttackStats
 from repro.metrics.connections import ConnectionLog
-from repro.metrics.cpuutil import CPUUtilization
-from repro.metrics.queues import QueueDepths
 from repro.metrics.series import BinnedSeries
 from repro.metrics.throughput import HostThroughput
 from repro.obs.hist import Histogram
-from repro.obs.timeseries import TimeSeries, series_payload
+from repro.obs.timeseries import (CPUUtilization, QueueDepths, TimeSeries,
+                                  series_payload)
 from repro.sim.engine import SHARED_STATS_KEYS
 from repro.tcp.listener import ListenerStats
 
@@ -170,9 +171,6 @@ def summarize(result) -> ScenarioSummary:
         fault_stats = injector.snapshot()
     checker = getattr(result, "invariants", None)
     invariant_checks = checker.checks_run if checker is not None else 0
-    sampler = getattr(result, "sampler", None)
-    timeseries: Dict[str, TimeSeries] = \
-        sampler.as_dict() if sampler is not None else {}
     source_attribution = getattr(result, "attribution", None)
     attribution = (source_attribution.snapshot()
                    if source_attribution is not None else None)
@@ -185,15 +183,14 @@ def summarize(result) -> ScenarioSummary:
         counters=counters,
         server_throughput=result.server_throughput,
         client_throughput=result.client_throughput,
-        cpu=CPUUtilization(dict(result.cpu.series)),
-        queues=QueueDepths(result.queues.listen_depth,
-                           result.queues.accept_depth),
+        cpu=result.cpu,
+        queues=result.queues,
         connections=connections,
         server_established=dict(result.server_established),
         attack_stats=result.attack_stats,
         botnet_size=botnet_size,
         histograms=histograms,
-        timeseries=timeseries,
+        timeseries=result.sampler.as_dict(),
         attribution=attribution,
         fault_stats=fault_stats,
         invariant_checks=invariant_checks,

@@ -4,21 +4,16 @@ captures to measure the throughput ..., the TCP connection time, and the
 number of dropped TCP connections").
 """
 
-from repro.metrics.series import BinnedSeries, GaugeSeries
+from repro.metrics.series import BinnedSeries
 from repro.metrics.throughput import HostThroughput
 from repro.metrics.connections import ConnectionRecord, ConnectionTracker
-from repro.metrics.cpuutil import CPUUtilizationSampler
-from repro.metrics.queues import QueueSampler
 from repro.metrics.summary import describe, Summary
 
 __all__ = [
     "BinnedSeries",
-    "GaugeSeries",
     "HostThroughput",
     "ConnectionRecord",
     "ConnectionTracker",
-    "CPUUtilizationSampler",
-    "QueueSampler",
     "describe",
     "Summary",
 ]

@@ -1,8 +1,8 @@
-"""Time-series primitives: binned accumulators and gauges."""
+"""Time-series primitive: the binned accumulator."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -56,36 +56,3 @@ class BinnedSeries:
         hi = int(np.ceil((end - self.t0) / self.bin_width))
         return sum(v for i, v in self._bins.items() if lo <= i < hi)
 
-
-class GaugeSeries:
-    """Point-in-time samples of a value (queue depth, CPU utilisation)."""
-
-    def __init__(self) -> None:
-        self._times: List[float] = []
-        self._values: List[float] = []
-
-    def sample(self, t: float, value: float) -> None:
-        self._times.append(t)
-        self._values.append(value)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self._times), np.asarray(self._values)
-
-    def window(self, start: float, end: float) -> np.ndarray:
-        """Values sampled in ``[start, end)``."""
-        times, values = self.arrays()
-        if len(times) == 0:
-            return values
-        mask = (times >= start) & (times < end)
-        return values[mask]
-
-    def mean_in(self, start: float, end: float) -> float:
-        values = self.window(start, end)
-        return float(np.mean(values)) if len(values) else float("nan")
-
-    def max_in(self, start: float, end: float) -> float:
-        values = self.window(start, end)
-        return float(np.max(values)) if len(values) else float("nan")

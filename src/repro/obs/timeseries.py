@@ -6,10 +6,9 @@ the attack engages and the controller responds. This module adds the
 streaming layer:
 
 * :class:`TelemetrySpec` — the picklable, hashable configuration knob
-  (``ScenarioConfig.telemetry``). ``None`` (the default) means fully
-  detached: no sampler is built, no events are scheduled, no per-event
-  cost anywhere (the zero-overhead invariant of
-  ``tests/obs/test_profile.py`` covers this).
+  (``ScenarioConfig.telemetry``). ``None`` (the default) records no
+  telemetry series and adds no per-event cost anywhere (the
+  zero-overhead invariant of ``tests/obs/test_profile.py`` covers this).
 * :class:`TimeSeries` — one named series in a bounded ring of
   ``(time, value)`` samples: appends past the capacity evict the oldest
   sample and count it as dropped, so memory is fixed no matter how long
@@ -18,11 +17,15 @@ streaming layer:
   quantile). Rates and gauges merge sample-for-sample across sweep
   workers; quantiles do not (a quantile of quantiles is meaningless)
   and are kept per-cell only.
-* :class:`SimSampler` — an engine tap firing on an
-  :class:`~repro.sim.process.AlignedPeriodicProcess` cadence (absolute
-  times ``k * cadence``, so every cell's time column is bit-identical)
-  that snapshots counter deltas, listener/accept-queue occupancy,
-  syncache fill, and selected histogram quantiles.
+* :class:`QueueDepths` and :class:`CPUUtilization` — the Figure 10 and
+  Figure 9 series and their queries, as plain data.
+* :class:`SimSampler` — the one periodic reader of a run, firing on
+  :class:`~repro.sim.process.AlignedPeriodicProcess` ticks (absolute
+  times ``k * interval``, so every cell's time column is bit-identical):
+  queue depths and CPU busy % every ``TICK``, and with a
+  :class:`TelemetrySpec` counter deltas, listener/accept-queue
+  occupancy, syncache fill and selected histogram quantiles every
+  ``cadence``.
 * :func:`chrome_counter_events` — Chrome trace-event counter records
   (``"ph": "C"``) so Perfetto draws the rate curves as counter tracks on
   the same timeline as the :mod:`repro.obs.spans` handshake spans.
@@ -37,7 +40,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.obs.counters import DROP_CAUSES
@@ -67,6 +72,10 @@ DEFAULT_HISTOGRAMS: Tuple[str, ...] = ("accept_wait",)
 
 _QUANTILE_BY_LABEL = dict(QUANTILE_LABELS)
 
+#: Sim-seconds between :class:`SimSampler` ticks: the Figure 10 grid.
+#: CPU busy % (Figure 9) is read every second tick.
+TICK = 0.5
+
 
 @dataclass(frozen=True)
 class TelemetrySpec:
@@ -87,8 +96,6 @@ class TelemetrySpec:
     histograms: Tuple[str, ...] = DEFAULT_HISTOGRAMS
     #: Quantile labels to sample (subset of the exporters' standard set).
     quantiles: Tuple[str, ...] = ("p95",)
-    #: Sample listener/accept-queue depth and syncache fill gauges.
-    queues: bool = True
     #: Attach bounded-memory per-source attribution sketches
     #: (:mod:`repro.obs.sketch`) to the listener.
     attribution: bool = False
@@ -108,6 +115,12 @@ class TelemetrySpec:
         if self.capacity < 1:
             raise SimulationError(
                 f"telemetry capacity must be >= 1, got {self.capacity!r}")
+        for name in ("counters", "histograms"):
+            if getattr(self, name) is None:
+                raise SimulationError(
+                    f"telemetry {name} must be a tuple of names, not None "
+                    f"(the default is DEFAULT_{name.upper()}; () samples "
+                    f"none)")
         for label in self.quantiles:
             if label not in _QUANTILE_BY_LABEL:
                 known = ", ".join(label for label, _ in QUANTILE_LABELS)
@@ -161,6 +174,25 @@ class TimeSeries:
     def samples(self) -> List[Tuple[float, float]]:
         """Oldest-to-newest list of retained ``(time, value)`` pairs."""
         return list(zip(self._times, self._values))
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The retained ``(times, values)`` as numpy arrays."""
+        return np.asarray(self._times), np.asarray(self._values)
+
+    def _window(self, start: float, end: float) -> np.ndarray:
+        """Values sampled in ``[start, end)``."""
+        times, values = self.arrays()
+        return values[(times >= start) & (times < end)]
+
+    def mean_in(self, start: float, end: float) -> float:
+        """Mean of the values sampled in ``[start, end)`` (NaN if none)."""
+        values = self._window(start, end)
+        return float(np.mean(values)) if len(values) else float("nan")
+
+    def max_in(self, start: float, end: float) -> float:
+        """Largest value sampled in ``[start, end)`` (NaN if none)."""
+        values = self._window(start, end)
+        return float(np.max(values)) if len(values) else float("nan")
 
     def _reload(self, samples: Iterable[Tuple[float, float]]) -> None:
         """Refill the ring from ``(time, value)`` pairs (newest past the
@@ -287,17 +319,59 @@ class SeriesRegistry:
         return self
 
 
-class SimSampler:
-    """The sim-time telemetry tap: one aligned cadence, many series.
+@dataclass(eq=False)
+class QueueDepths:
+    """Sampled listen-queue and accept-queue depths (Figure 10)."""
 
-    Reads — never mutates — hub counters, listener queues, the syncache
-    and histograms, so attaching it cannot change protocol behaviour or
-    any deterministic payload other than adding its own events to the
-    engine's schedule accounting.
+    listen_depth: TimeSeries
+    accept_depth: TimeSeries
+
+    def listen_series(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.listen_depth.arrays()
+
+    def accept_series(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self.accept_depth.arrays()
+
+
+@dataclass(eq=False)
+class CPUUtilization:
+    """Busy-fraction (%) samples per host name (Figure 9)."""
+
+    series: Dict[str, TimeSeries]
+
+    def utilization(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        return self.series[name].arrays()
+
+    def mean_in(self, name: str, start: float, end: float) -> float:
+        return self.series[name].mean_in(start, end)
+
+    def max_in(self, name: str, start: float, end: float) -> float:
+        return self.series[name].max_in(start, end)
+
+
+class SimSampler:
+    """The one periodic reader of a run: every series, on aligned ticks.
+
+    The tick fires at each absolute multiple of :data:`TICK`, and
+    :meth:`start` takes one more read at the start time. Each read
+    records the listener's listen and accept depth into :attr:`queues`
+    (Figure 10); every second tick records each CPU host's busy % over
+    the past second into :attr:`cpu` (Figure 9). Those rings hold every
+    sample up to *duration*. With a telemetry *spec*, :meth:`_sample`
+    records counter rates, occupancy gauges and histogram quantiles into
+    :attr:`registry` on an aligned process of its own, at each multiple
+    of the spec's cadence.
+
+    Reads — never mutates — hub counters, listener queues, CPU
+    accounting, the syncache and histograms, so it cannot change
+    protocol behaviour or any deterministic payload other than adding
+    its own events to the engine's schedule accounting.
     """
 
-    def __init__(self, engine, hub, spec: TelemetrySpec,
-                 listener=None) -> None:
+    def __init__(self, engine, hub=None,
+                 spec: Optional[TelemetrySpec] = None,
+                 listener=None, cpu_hosts: Sequence = (),
+                 duration: float = 0.0) -> None:
         # Deferred import: repro.obs must stay importable without
         # repro.sim (the hub promises engine-ignorance; see hub_for).
         from repro.sim.process import AlignedPeriodicProcess
@@ -306,22 +380,59 @@ class SimSampler:
         self.hub = hub
         self.spec = spec
         self.listener = listener
+        self.cpu_hosts = list(cpu_hosts)
+        capacity = int(duration / TICK) + 1
+        self.queues = QueueDepths(
+            TimeSeries("listen_depth", "gauge", TICK, capacity),
+            TimeSeries("accept_depth", "gauge", TICK, capacity))
+        self.cpu = CPUUtilization({
+            host.name: TimeSeries(f"cpu.{host.name}", "gauge", 2 * TICK,
+                                  capacity)
+            for host in self.cpu_hosts})
+        self._last_busy = {host.name: 0.0 for host in self.cpu_hosts}
         self.registry = SeriesRegistry()
         self.samples_taken = 0
-        self._last_totals: Dict[str, int] = {
-            name: 0 for name in spec.counters}
-        self._last_drop_total = 0
-        self._process = AlignedPeriodicProcess(
-            engine, self._sample, spec.cadence)
+        self._process = AlignedPeriodicProcess(engine, self._tick, TICK)
+        self._telemetry = None
+        if spec is not None:
+            self._last_totals = {name: 0 for name in spec.counters}
+            self._last_drop_total = 0
+            self._telemetry = AlignedPeriodicProcess(
+                engine, self._sample, spec.cadence)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
+        self._read_queues(self.engine.now)
         self._process.start()
+        if self._telemetry is not None:
+            self._telemetry.start()
 
     def stop(self) -> None:
         self._process.stop()
+        if self._telemetry is not None:
+            self._telemetry.stop()
 
     # ------------------------------------------------------------------
+    def _read_queues(self, now: float) -> None:
+        listener = self.listener
+        if listener is not None:
+            self.queues.listen_depth.record(now, len(listener.listen_queue))
+            self.queues.accept_depth.record(now, len(listener.accept_queue))
+
+    def _tick(self) -> None:
+        now = self.engine.now
+        self._read_queues(now)
+        # Whole seconds by absolute time, whenever the sampler started.
+        if round(now / TICK) % 2 == 0:
+            last_busy = self._last_busy
+            for host in self.cpu_hosts:
+                busy = host.cpu.busy_seconds(now)
+                utilization = (100.0 * (busy - last_busy[host.name])
+                               / (2 * TICK))
+                last_busy[host.name] = busy
+                self.cpu.series[host.name].record(
+                    now, min(100.0, utilization))
+
     def _series(self, name: str, kind: str) -> TimeSeries:
         return self.registry.series(name, kind, self.spec.cadence,
                                     self.spec.capacity)
@@ -344,7 +455,7 @@ class SimSampler:
             now, (drop_total - self._last_drop_total) / cadence)
         self._last_drop_total = drop_total
         listener = self.listener
-        if spec.queues and listener is not None:
+        if listener is not None:
             self._series("gauge.listen_depth", "gauge").record(
                 now, float(len(listener.listen_queue)))
             self._series("gauge.accept_depth", "gauge").record(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.metrics.series import BinnedSeries, GaugeSeries
+from repro.metrics.series import BinnedSeries
 from repro.metrics.summary import Summary, cdf, describe
+from repro.obs.timeseries import TimeSeries
 
 
 class TestBinnedSeries:
@@ -64,15 +65,15 @@ class TestBinnedSeries:
 
 class TestGaugeSeries:
     def test_sampling_and_windows(self):
-        gauge = GaugeSeries()
+        gauge = TimeSeries("g", "gauge", 1.0, capacity=10)
         for t in range(10):
-            gauge.sample(float(t), float(t * t))
+            gauge.record(float(t), float(t * t))
         assert len(gauge) == 10
         assert gauge.mean_in(0.0, 3.0) == pytest.approx((0 + 1 + 4) / 3)
         assert gauge.max_in(5.0, 10.0) == 81.0
 
     def test_empty_window_is_nan(self):
-        gauge = GaugeSeries()
+        gauge = TimeSeries("g", "gauge", 1.0)
         assert np.isnan(gauge.mean_in(0.0, 1.0))
 
 

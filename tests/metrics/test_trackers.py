@@ -6,10 +6,9 @@ import pytest
 from repro.hosts.cpu import CPUProfile
 from repro.hosts.host import CPUResource
 from repro.metrics.connections import ConnectionTracker
-from repro.metrics.cpuutil import CPUUtilizationSampler
-from repro.metrics.queues import QueueSampler
 from repro.metrics.throughput import HostThroughput
 from repro.net.packet import Packet
+from repro.obs.timeseries import SimSampler
 from repro.sim.engine import Engine
 from repro.tcp.listener import DefenseConfig
 from tests.conftest import MiniNet
@@ -140,11 +139,11 @@ class TestCpuSampler:
                 self.cpu = CPUResource(engine, CPUProfile("t", "", 1000.0))
 
         host = FakeHost()
-        sampler = CPUUtilizationSampler(engine, [host], interval=1.0)
+        sampler = SimSampler(engine, cpu_hosts=[host], duration=3.0)
         sampler.start()
         host.cpu.run(500, lambda: None)  # 0.5 s of work in bin 1
         engine.run(until=3.0)
-        times, util = sampler.utilization("h")
+        times, util = sampler.cpu.utilization("h")
         assert util[0] == pytest.approx(50.0)
         assert util[1] == pytest.approx(0.0)
 
@@ -156,11 +155,11 @@ class TestCpuSampler:
                 self.cpu = CPUResource(engine, CPUProfile("t", "", 1000.0))
 
         host = FakeHost()
-        sampler = CPUUtilizationSampler(engine, [host], interval=1.0)
+        sampler = SimSampler(engine, cpu_hosts=[host], duration=2.0)
         sampler.start()
         host.cpu.run(5000, lambda: None)
         engine.run(until=2.0)
-        _, util = sampler.utilization("h")
+        _, util = sampler.cpu.utilization("h")
         assert max(util) <= 100.0
 
 
@@ -168,12 +167,12 @@ class TestQueueSampler:
     def test_depth_sampling(self):
         net = MiniNet()
         listener = net.server.tcp.listen(80, DefenseConfig())
-        sampler = QueueSampler(net.engine, listener, interval=0.5)
+        sampler = SimSampler(net.engine, listener=listener, duration=2.0)
         sampler.start()
         net.client.tcp.connect(net.server.address, 80)
         net.run(until=2.0)
-        times, accept_depth = sampler.accept_series()
+        times, accept_depth = sampler.queues.accept_series()
         assert len(times) >= 3
         assert max(accept_depth) == 1.0  # established, nobody accepts
-        _, listen_depth = sampler.listen_series()
+        _, listen_depth = sampler.queues.listen_series()
         assert max(listen_depth) <= 1.0

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.exp2_floods import FloodExperiment
 from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.experiments.summary import summarize
 from repro.net.fabric import CFabricPath
 from repro.obs.profile import (
     CORE_MODULE,
@@ -264,10 +265,10 @@ class TestZeroOverheadBranch:
 
     def test_detached_telemetry_adds_no_per_event_cost(self, monkeypatch):
         """The streaming-telemetry extension of the gate: a scenario
-        with ``telemetry=None`` (the default) builds no sampler, hangs
-        no attribution sketches on the listener, and still makes exactly
-        the two run-level perf_counter calls — per-event cost stays
-        zero when telemetry is detached."""
+        with ``telemetry=None`` (the default) records no telemetry
+        series, hangs no attribution sketches on the listener, and still
+        makes exactly the two run-level perf_counter calls — per-event
+        cost stays zero when telemetry is detached."""
         import repro.sim.engine as engine_module
 
         real = engine_module.perf_counter
@@ -281,7 +282,8 @@ class TestZeroOverheadBranch:
         config = ScenarioConfig(seed=3, time_scale=0.01, n_clients=2,
                                 n_attackers=2)
         result = Scenario(config).run()
-        assert result.sampler is None
+        assert result.sampler.as_dict() == {}
+        assert summarize(result).timeseries == {}
         assert result.attribution is None
         assert result.server_app.listener.attribution is None
         assert result.engine.stats()["events_processed"] > 100

@@ -1,6 +1,6 @@
 """Streaming telemetry tests: aligned sampling, bounded series, merge
 semantics, and the determinism contract (same seed → byte-identical
-series; detached → nothing scheduled, nothing recorded)."""
+series; detached → no telemetry series recorded)."""
 
 import json
 import pickle
@@ -138,6 +138,11 @@ class TestTelemetrySpec:
             TelemetrySpec(top_k=0)
         with pytest.raises(SimulationError):
             TelemetrySpec(prefix_bits=33)
+        # None is not a default set: each field names its default.
+        with pytest.raises(SimulationError, match="DEFAULT_COUNTERS"):
+            TelemetrySpec(counters=None)
+        with pytest.raises(SimulationError, match="DEFAULT_HISTOGRAMS"):
+            TelemetrySpec(histograms=None)
 
     def test_pickles_and_fingerprints(self):
         from repro.runner import stable_hash
@@ -166,7 +171,7 @@ class TestSimSampler:
 
     def test_rates_are_counter_deltas_over_cadence(self):
         spec = TelemetrySpec(cadence=0.5, counters=("SynsRecv",),
-                             histograms=(), queues=False)
+                             histograms=())
         sampler = self._run(spec)
         series = sampler.as_dict()["rate.SynsRecv"]
         assert [t for t, _ in series.samples()] == [
@@ -176,12 +181,132 @@ class TestSimSampler:
 
     def test_same_run_twice_is_byte_identical(self):
         spec = TelemetrySpec(cadence=0.5, counters=("SynsRecv",),
-                             histograms=(), queues=False)
+                             histograms=())
         one = json.dumps(series_payload(self._run(spec).as_dict()),
                          sort_keys=True)
         two = json.dumps(series_payload(self._run(spec).as_dict()),
                          sort_keys=True)
         assert one == two
+
+
+def _scenario(telemetry):
+    from repro.experiments.scenario import Scenario, ScenarioConfig
+
+    config = ScenarioConfig(time_scale=0.01, seed=1, n_clients=3,
+                            n_attackers=2, attack_style="syn",
+                            telemetry=telemetry)
+    return Scenario(config).run()
+
+
+class TestSamplingGrid:
+    """The one sampler's grid: every series lands on exact multiples of
+    its interval, and a run without telemetry schedules one sampler
+    event per 0.5 s."""
+
+    def test_queue_and_cpu_grid(self):
+        result = _scenario(None)
+        assert result.config.duration == 6.0
+        half_seconds = [k * 0.5 for k in range(13)]
+        assert result.queues.listen_series()[0].tolist() == half_seconds
+        assert result.queues.accept_series()[0].tolist() == half_seconds
+        assert sorted(result.cpu.series) == ["attacker0", "client0",
+                                             "server"]
+        for name in result.cpu.series:
+            times, _ = result.cpu.utilization(name)
+            assert times.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        rings = [result.queues.listen_depth, result.queues.accept_depth,
+                 *result.cpu.series.values()]
+        assert all(ring.dropped == 0 for ring in rings)
+
+    def test_cpu_grid_is_whole_seconds_for_a_late_start(self):
+        from tests.conftest import MiniNet
+
+        net = MiniNet()
+        net.run(until=0.7)
+        sampler = SimSampler(net.engine, cpu_hosts=[net.server],
+                             duration=4.0)
+        sampler.start()
+        net.run(until=4.0)
+        times, _ = sampler.cpu.utilization("server")
+        assert times.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("cadence", [0.5, 0.25])
+    def test_telemetry_grid(self, cadence):
+        result = _scenario(TelemetrySpec(cadence=cadence))
+        ticks = int(result.config.duration / cadence)
+        expected = [k * cadence for k in range(1, ticks + 1)]
+        series = result.sampler.as_dict()
+        for name in ("rate.SynsRecv", "rate.Drops", "gauge.listen_depth",
+                     "gauge.accept_depth"):
+            assert [t for t, _ in series[name].samples()] == expected
+        assert result.sampler.samples_taken == ticks
+        # The Figure 10 grid does not follow the telemetry cadence.
+        assert result.queues.listen_series()[0].tolist() == [
+            k * 0.5 for k in range(13)]
+
+    @pytest.mark.parametrize("spec, events", [
+        (None, 12),
+        (TelemetrySpec(), 12 + 12),
+        (TelemetrySpec(cadence=0.25), 12 + 24),
+    ], ids=["detached", "cadence-0.5", "cadence-0.25"])
+    def test_one_event_per_tick(self, spec, events):
+        from repro.tcp.listener import DefenseConfig
+        from tests.conftest import MiniNet
+
+        net = MiniNet()
+        listener = net.server.tcp.listen(80, DefenseConfig())
+        sampler = SimSampler(net.engine, hub_for(net.engine), spec,
+                             listener=listener,
+                             cpu_hosts=[net.server, net.client],
+                             duration=6.0)
+        sampler.start()
+        net.run(until=6.0)
+        assert net.engine.stats()["events_processed"] == events
+        assert len(sampler.queues.listen_depth) == 13
+        assert len(sampler.cpu.series["server"]) == 6
+
+
+class TestTelemetryIsReadOnly:
+    """Telemetry only reads: turning it on, at either cadence and with
+    attribution, leaves the model's counters, connection outcomes and
+    Figure 9/10 series exactly as a detached run has them."""
+
+    @staticmethod
+    def _observables(summary):
+        series = {"listen": summary.queues.listen_series(),
+                  "accept": summary.queues.accept_series()}
+        for name in summary.cpu.series:
+            series[f"cpu.{name}"] = summary.cpu.utilization(name)
+        return {
+            "counters": summary.counters,
+            "connections": {label: summary.connections.counts(label)
+                            for label in summary.connections.labels()},
+            "series": {name: (times.tolist(), values.tolist(),
+                              str(values.dtype))
+                       for name, (times, values) in series.items()},
+        }
+
+    @pytest.mark.parametrize("cell", ["syn-puzzles", "overload-oldest"])
+    def test_counters_connections_and_figure_series_unchanged(self, cell):
+        from dataclasses import replace
+
+        from repro.experiments.scenario import ScenarioConfig
+        from repro.experiments.summary import run_scenario_summary
+        from repro.faults.chaos import overload_matrix
+
+        base = ScenarioConfig(time_scale=0.01, seed=1)
+        if cell == "overload-oldest":
+            config = overload_matrix(base)[cell].config
+        else:
+            config = replace(base, attack_style="syn")
+        observed = [
+            self._observables(run_scenario_summary(
+                replace(config, telemetry=telemetry)))
+            for telemetry in (None, TelemetrySpec(),
+                              TelemetrySpec(cadence=0.25, attribution=True))]
+        assert observed[0]["counters"]["server"]["SynsRecv"] > 0
+        assert observed[1] == observed[0]
+        assert observed[2] == observed[0]
 
 
 class TestChromeCounterEvents:

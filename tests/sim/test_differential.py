@@ -308,12 +308,18 @@ else:
                               base=base).summary()
 engine_keys = ("events_scheduled", "events_processed", "events_cancelled",
                "sim_seconds")
+figure_series = {"listen": summary.queues.listen_series(),
+                 "accept": summary.queues.accept_series()}
+for host in summary.cpu.series:
+    figure_series["cpu." + host] = summary.cpu.utilization(host)
 jsonl = cells_to_jsonl([summary])
 print(json.dumps({
     "counters": summary.counters,
     "engine": {k: summary.engine_stats[k] for k in engine_keys},
     "connections": {lbl: summary.connections.counts(lbl)
                     for lbl in summary.connections.labels()},
+    "figure_series": {name: [times.tolist(), values.tolist()]
+                      for name, (times, values) in figure_series.items()},
     "jsonl_sha256": hashlib.sha256(jsonl.encode()).hexdigest(),
 }, sort_keys=True))
 """
@@ -356,9 +362,10 @@ def _run_probe(script, arg, env_extra):
 def test_fig7_cells_identical_across_fabric_and_engine(label):
     """The batched flood fast path must be invisible in the output:
     every fig7 cell's (and the ladder and connect-flood cells')
-    counters, engine accounting, connection outcomes and export JSONL
-    are byte-identical between the per-packet pipeline
-    (``REPRO_FABRIC=packet``) and the batched one, on either engine."""
+    counters, engine accounting, connection outcomes, Figure 9/10
+    series and export JSONL are byte-identical between the per-packet
+    pipeline (``REPRO_FABRIC=packet``) and the batched one, on either
+    engine."""
     engines = ["py"] if CEngine is None else ["py", "auto"]
     outputs = {}
     for engine in engines:
