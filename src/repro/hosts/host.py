@@ -130,6 +130,8 @@ class Host:
         self.network.send(self, packet)
 
     def receive(self, packet: Packet) -> None:
+        # Only forwards: the compiled delivery (repro.net.floodpath) skips
+        # this frame and calls self.tcp.receive itself.
         self.tcp.receive(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -12,13 +12,17 @@ the entire chain:
   path. It is the reference the compiled fold is gated against, and the
   fold that runs whenever the compiled one is not adopted.
 * The compiled core (``repro.sim._cengine.FabricPath``) performs the same
-  arithmetic in C, reading and writing each link's ``__dict__`` so the
-  Python ``Link`` objects remain the single source of truth (fault
+  arithmetic in C. :class:`~repro.net.link.Link` keeps its fields in
+  ``__slots__``; the compiled path resolves each slot's offset once, when
+  it is built, and then reads and writes the links' slots directly, so
+  the Python ``Link`` objects remain the single source of truth (fault
   injectors, ``reset_counters`` and direct ``offer`` calls all keep
   working). Loss draws call the link's own ``rng.random()``, so the
   Mersenne stream is consumed CPython-exactly. C doubles evaluated in the
   same order as CPython floats are bit-identical, so drop decisions and
-  arrival times match to the last ulp.
+  arrival times match to the last ulp. The compiled send of
+  :mod:`repro.net.floodpath` folds every packet between registered hosts
+  through it without a Python call.
 
 The compiled fold ships in the engine's extension module. It is adopted
 only when :mod:`repro.sim.engine` adopted that build's engine
@@ -27,14 +31,15 @@ self-test against the Python fold — passes.
 
 A C fold returns ``NotImplemented`` instead of touching any state when it
 cannot reproduce Python semantics exactly (a link-level fault hook is
-installed, or the size would raise): callers then re-fold through
-:func:`fold_links`.
+installed, an ``offer`` is overridden in a link's instance ``__dict__``,
+the size would raise, or a link's type keeps its fields outside slots):
+callers then re-fold through :func:`fold_links`.
 
 ``REPRO_FABRIC`` selects the flood pipeline:
 
 * ``auto`` (default, also when unset or empty) — the compiled fold, and
-  with it the compiled flood paths of :mod:`repro.net.floodpath`, when
-  this build's engine and fold pass their gates; the per-packet
+  with it the compiled send and flood paths of :mod:`repro.net.floodpath`,
+  when this build's engine and fold pass their gates; the per-packet
   pipeline with Python folds otherwise;
 * ``packet`` — the per-packet pipeline with Python folds, always. It is
   the oracle the differential suite holds the compiled paths to.
@@ -152,7 +157,7 @@ if _MODE not in _FABRIC_MODES:
     raise SimulationError(
         f"REPRO_FABRIC={os.environ['REPRO_FABRIC']!r} is not one of "
         f"{', '.join(_FABRIC_MODES)}")
-#: Whether the compiled fold (and with it the compiled flood paths of
+#: Whether the compiled fold (and with it the compiled packet paths of
 #: repro.net.floodpath) may be adopted.
 BATCHED = _MODE == "auto"
 CFabricPath = None

@@ -1,13 +1,22 @@
-"""Spoofed-SYN flood fast paths: the compiled plumbing around triage.
+"""Compiled packet paths: the plumbing around the Python TCP stack.
 
-A spoofed-SYN flood spends most of its wall time carrying three integers
+Every packet crosses the same Python frames before the stack sees it:
+``Host.send``, ``Network.send`` (meters, fold, schedule),
+``Network._deliver`` (count, meters) and ``Host.receive``. A spoofed-SYN
+flood adds more: it spends most of its wall time carrying three integers
 from the attacker's RNG to the listener's triage, and a reply's size
-from the listener into a blackhole: build a ``Packet``, ``Host.send``
-it, fold it link by link, deliver it, demultiplex it, then build and
-send a SYN-ACK that a spoofed source can never receive. The compiled
-core (``repro.sim._cengine``) does that plumbing in C, with two types
-this module builds:
+from the listener into a blackhole. The compiled core
+(``repro.sim._cengine``) does that plumbing in C, with three types this
+module builds:
 
+* ``DeliveryPath`` (:func:`DeliveryPath`) — one network's send and
+  deliver for packets to registered hosts. ``Network`` binds its
+  ``send`` in place of the Python method, so ``Host.send`` reaches C
+  with no Python frame between. The send does the tx meters, the fold
+  through the cached path, the drop count and one scheduled delivery;
+  the delivery counts the packet, does the rx meters and hands it to
+  the host's ``TCPStack.receive`` (``Host.receive`` only forwards to it),
+  or to the host's own ``receive`` when its instance overrides it.
 * ``SynFastPath`` (:func:`SynFastPath`) — one
   :class:`~repro.hosts.attacker.SynFlooder`'s firing loop. It makes the
   bot's draws (the same ``rng.getrandbits`` calls as
@@ -27,38 +36,49 @@ this module builds:
   dst_port) -> bool``: tx meters, the uplink fold, and the blackhole or
   drop count.
 
-Triage stays Python: the compiled delivery ends in the one
-``handle_syn``.
+The three share one decline predicate (a tap or a packet fault hook),
+one meter helper and the compiled fold. Triage and the rest of the
+stack stay Python: every compiled delivery ends in the one
+``TCPStack.receive`` or ``handle_syn``.
 
-Adoption: both are built exactly when the compiled fold is adopted
+Adoption: all three are built exactly when the compiled fold is adopted
 (``REPRO_FABRIC=auto`` and :data:`~repro.net.fabric.CFabricPath` is not
 None, see :mod:`repro.net.fabric`) and the network runs on the compiled
 engine. Otherwise the builders return None and the per-packet pipeline
 runs. That pipeline is the oracle: the byte-identity matrix in
-``tests/sim/`` and ``tests/net/test_flood_declines.py`` hold the
-compiled paths to it.
+``tests/sim/``, ``tests/net/test_flood_declines.py`` and
+``tests/net/test_packet_path.py`` hold the compiled paths to it.
 
 Declines: the compiled paths engage only while nothing observes
 individual packets. Each checks on every call and, having touched
-nothing, hands the work to the existing Python code with a
-materialized packet when
+nothing, hands the work to the existing Python code (``Network.send``,
+``Network._deliver``, the flooder's own send) with a real packet when
 
 * a capture tap (``Network.add_tap``) or a packet fault hook
   (``Network.packet_fault``) is installed;
-* a link-level fault hook makes the fold return ``NotImplemented``;
+* a packet is addressed to an unregistered host (it is blackholed);
+* a link-level fault hook or ``offer`` override makes the fold return
+  ``NotImplemented`` (the send then folds link by link, in Python);
 * ``send`` is overridden on the bot's or the server's instance, or
-  ``receive`` on the server host's or its stack's;
+  ``receive`` on the server host's or its stack's, around a flyweight;
 * a spoofed source carries a tx meter, or a reply goes to a registered
   address (it is delivered and read);
 * a spoofed flow is owned by a live connection on the server.
 
+Hosts are never bound per instance: an instance-level ``send`` or
+``receive`` is always someone's override, which the delivery calls and
+the flood paths decline around.
+
 Host throughput accounting is not an observer: ``Network`` registers a
 meter's series by address (``Network.add_throughput_tap``) and the
-compiled paths add each frame's size to them with the same arithmetic.
+compiled paths add each frame's size (and payload) to them with the
+same arithmetic.
 
 The builders share the names of the types they build. The benchmark's
 traced ledger (``perfbench/ledger.py``) looks them up here and reports
-the Python methods it used to time as missing entry points.
+the Python methods it used to time as missing entry points; its
+class-level wrappers on ``Network.send`` and ``_deliver`` see only the
+packets the compiled send declines.
 """
 
 from __future__ import annotations
@@ -105,16 +125,30 @@ def challenge_synack_size(params) -> int:
 
 
 def syn_packet(src_ip: int, dst_ip: int, src_port: int, dst_port: int,
-               seq: int, sent_at: float = 0.0) -> Packet:
+               seq: int) -> Packet:
     """A flooder's bare SYN as a packet: what the per-packet pipeline
     sends, and what the compiled path hands over when it declines."""
-    return Packet(src_ip=src_ip, dst_ip=dst_ip, src_port=src_port,
-                  dst_port=dst_port, seq=seq, flags=FLAG_SYN,
-                  options=mss_options(DEFAULT_MSS), sent_at=sent_at)
+    return Packet(src_ip, dst_ip, src_port, dst_port, seq, 0, FLAG_SYN,
+                  mss_options(DEFAULT_MSS))
 
 
 def _compiled(network) -> bool:
     return _CORE is not None and type(network.engine) is CEngine
+
+
+def DeliveryPath(network):
+    """The compiled send and deliver of *network*'s packets to registered
+    hosts, or None when it is not adopted or the network's engine is not
+    the compiled one."""
+    if not _compiled(network):
+        return None
+    # Hosts are built on a network, so the forwarder the delivery skips
+    # is looked up when a network is, not at import.
+    from repro.hosts.host import Host
+
+    return _CORE.DeliveryPath(
+        engine=network.engine, network=network, packet_type=Packet,
+        forwarder=Host.receive, fold_links=fold_links)
 
 
 def SynFastPath(network, flooder):

@@ -20,13 +20,11 @@ more than ``buffer_bytes`` worth of backlog is dropped.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import NetworkError
 
 
-@dataclass
 class Link:
     """One direction of a network link.
 
@@ -46,43 +44,66 @@ class Link:
         RNG for loss draws; required when ``loss_rate > 0``.
     name:
         For diagnostics and drop accounting.
+    fault:
+        Optional fault-injection hook (duck-typed; see
+        ``repro.faults.injectors``). When set, ``classify(now)`` is asked
+        for a verdict per offered packet: ``None`` passes the packet
+        through, ``"down"`` drops it outright (link flap — the frame
+        never transmits), ``"loss"`` burns airtime then loses the frame
+        (Gilbert–Elliott burst corruption).
+
+    The remaining keywords seed the transmitter state and counters.
+
+    Every field lives in a slot: the compiled fold
+    (:mod:`repro.net.fabric`) resolves each slot's offset once per path
+    and reads and writes them directly. The ``__dict__`` slot keeps
+    per-instance overrides possible — an ``offer`` set on one link sends
+    every fold over it back to the per-link Python loop.
     """
 
-    rate_bps: float
-    delay: float = 0.0005
-    buffer_bytes: int = 256 * 1024
-    loss_rate: float = 0.0
-    rng: Optional[random.Random] = field(default=None, repr=False)
-    name: str = ""
+    __slots__ = ("rate_bps", "delay", "buffer_bytes", "loss_rate", "rng",
+                 "name", "_next_free", "packets_sent", "packets_dropped",
+                 "packets_lost", "bytes_sent", "fault", "packets_faulted",
+                 "__dict__")
 
-    _next_free: float = field(default=0.0, repr=False)
-    packets_sent: int = field(default=0, repr=False)
-    packets_dropped: int = field(default=0, repr=False)
-    packets_lost: int = field(default=0, repr=False)
-    bytes_sent: int = field(default=0, repr=False)
-    #: Optional fault-injection hook (duck-typed; see
-    #: ``repro.faults.injectors``). When set, ``classify(now)`` is asked
-    #: for a verdict per offered packet: ``None`` passes the packet
-    #: through, ``"down"`` drops it outright (link flap — the frame never
-    #: transmits), ``"loss"`` burns airtime then loses the frame
-    #: (Gilbert–Elliott burst corruption).
-    fault: Optional[object] = field(default=None, repr=False)
-    packets_faulted: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
+    def __init__(self, rate_bps: float, delay: float = 0.0005,
+                 buffer_bytes: int = 256 * 1024, loss_rate: float = 0.0,
+                 rng: Optional[random.Random] = None, name: str = "",
+                 _next_free: float = 0.0, packets_sent: int = 0,
+                 packets_dropped: int = 0, packets_lost: int = 0,
+                 bytes_sent: int = 0, fault: Optional[object] = None,
+                 packets_faulted: int = 0) -> None:
+        if rate_bps <= 0:
             raise NetworkError(f"rate_bps must be positive, got "
-                               f"{self.rate_bps!r}")
-        if self.delay < 0:
-            raise NetworkError(f"delay must be >= 0, got {self.delay!r}")
-        if self.buffer_bytes <= 0:
+                               f"{rate_bps!r}")
+        if delay < 0:
+            raise NetworkError(f"delay must be >= 0, got {delay!r}")
+        if buffer_bytes <= 0:
             raise NetworkError(f"buffer_bytes must be positive, got "
-                               f"{self.buffer_bytes!r}")
-        if not 0.0 <= self.loss_rate < 1.0:
+                               f"{buffer_bytes!r}")
+        if not 0.0 <= loss_rate < 1.0:
             raise NetworkError(f"loss_rate must be in [0, 1), got "
-                               f"{self.loss_rate!r}")
-        if self.loss_rate > 0 and self.rng is None:
+                               f"{loss_rate!r}")
+        if loss_rate > 0 and rng is None:
             raise NetworkError("loss_rate > 0 requires an rng")
+        self.rate_bps = rate_bps
+        self.delay = delay
+        self.buffer_bytes = buffer_bytes
+        self.loss_rate = loss_rate
+        self.rng = rng
+        self.name = name
+        self._next_free = _next_free
+        self.packets_sent = packets_sent
+        self.packets_dropped = packets_dropped
+        self.packets_lost = packets_lost
+        self.bytes_sent = bytes_sent
+        self.fault = fault
+        self.packets_faulted = packets_faulted
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(rate_bps={self.rate_bps!r}, "
+                f"delay={self.delay!r}, buffer_bytes={self.buffer_bytes!r}, "
+                f"loss_rate={self.loss_rate!r}, name={self.name!r})")
 
     def serialization_delay(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.rate_bps

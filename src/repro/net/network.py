@@ -8,6 +8,13 @@ and schedules one delivery event. Path folds go through cached
 pair — so the whole ``Link.offer`` chain is a single call (compiled when
 the accelerated core is adopted, a one-frame Python loop otherwise).
 
+With the compiled core adopted, a network binds the compiled send of
+:mod:`repro.net.floodpath` as its ``send``: packets to registered hosts
+are metered, folded, scheduled and delivered in C, into the host's
+``TCPStack.receive``. :meth:`Network.send` and :meth:`Network._deliver`
+below are the per-packet pipeline it declines to (taps, a packet fault
+hook, an unregistered destination) and the oracle it is tested against.
+
 Packets addressed to unregistered addresses — e.g. SYN-ACKs answering
 spoofed SYN floods — still consume link capacity on the path toward the
 destination's *presumed* attachment and are then blackholed, mirroring what
@@ -70,6 +77,15 @@ class Network:
         self.packets_delivered = 0
         self.packets_dropped = 0
         self.packets_blackholed = 0
+        # The compiled send and deliver (see repro.net.floodpath), bound
+        # in place of send when adopted: Host.send then reaches C with no
+        # Python frame between. ``send`` and ``_deliver`` below stay the
+        # per-packet oracle it declines to.
+        from repro.net.floodpath import DeliveryPath
+
+        compiled = DeliveryPath(self)
+        if compiled is not None:
+            self.send = compiled.send
 
     # ------------------------------------------------------------------
     # Registration
@@ -102,7 +118,7 @@ class Network:
         delivered (``rx``) adds its ``size_bytes``, and its
         ``payload_bytes`` when non-zero (``tx_goodput``/``rx_goodput``),
         with ``BinnedSeries.add``'s arithmetic written out where the
-        packet is handled — here, and in C by the compiled flood paths
+        packet is handled — here, and in C by the compiled packet paths
         of :mod:`repro.net.floodpath` — so no Python call runs per
         packet and the compiled paths stay engaged.
         """
@@ -145,7 +161,6 @@ class Network:
         packet's source address — that is what makes spoofing possible.
         """
         now = self.engine.now
-        packet.sent_at = now
         if self.packet_fault is not None:
             self.packet_fault(now, packet)
         # With no taps installed (most sweeps) the tap loops cost one

@@ -203,7 +203,7 @@ class Packet:
 
     __slots__ = ("src_ip", "dst_ip", "src_port", "dst_port", "seq", "ack",
                  "flags", "options", "payload_bytes", "extra_frames",
-                 "sent_at", "app_data", "uid", "size_bytes")
+                 "app_data", "uid", "size_bytes")
 
     def __init__(self,
                  src_ip: int,
@@ -216,7 +216,6 @@ class Packet:
                  options: Optional[TCPOptions] = None,
                  payload_bytes: int = 0,
                  extra_frames: int = 0,
-                 sent_at: float = 0.0,
                  app_data: object = None) -> None:
         self.src_ip = src_ip
         self.dst_ip = dst_ip
@@ -232,7 +231,6 @@ class Packet:
         self.options = options
         self.payload_bytes = payload_bytes
         self.extra_frames = extra_frames
-        self.sent_at = sent_at
         self.app_data = app_data
         self.uid = next(_uid_counter)
         # Read the option-size cache directly: the interned/shared shapes

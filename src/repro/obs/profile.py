@@ -16,9 +16,10 @@ they cover) plus ``other``::
 records; a foreign function called by another foreign function is split
 over that caller's callers in proportion to its cumulative time under
 each. The compiled core's methods book by type when Python calls them:
-``FabricPath``, ``SynFastPath`` and ``ReplyFastPath`` to ``net``,
-``Engine`` and ``Event`` to ``sim``. Work the engine dispatches in C
-(a compiled flood loop's fires and deliveries) is invisible to cProfile
+``FabricPath``, ``DeliveryPath``, ``SynFastPath`` and ``ReplyFastPath``
+to ``net``, ``Engine`` and ``Event`` to ``sim``. Work the engine
+dispatches in C (a compiled flood loop's fires, and the compiled
+deliveries up to the Python stack they end in) is invisible to cProfile
 and books to ``sim``, as it does in the ledger. Call counts are the
 calls of each layer's own functions; foreign calls are counted nowhere.
 
@@ -74,7 +75,7 @@ MODULE_LAYERS: Dict[str, str] = {
 CORE_MODULE = "repro.sim._cengine"
 CORE_TYPE_LAYERS: Dict[str, str] = {
     "Engine": "sim", "Event": "sim", "FabricPath": "net",
-    "SynFastPath": "net", "ReplyFastPath": "net"}
+    "DeliveryPath": "net", "SynFastPath": "net", "ReplyFastPath": "net"}
 
 #: Functions a manifest's ``profile.functions`` lists, by self time.
 PAYLOAD_FUNCTIONS = 25

@@ -34,6 +34,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 
 #include <math.h>
 #include <stddef.h>
@@ -1237,33 +1238,47 @@ static PyTypeObject Engine_Type = {
 /* ------------------------------------------------------------------ */
 /* A cached network path: the per-link Link.offer arithmetic (droptail
  * check, serialization update, optional loss draw, propagation) folded
- * across the whole link sequence in one call. All mutable link state is
- * read from and written back to each Link's instance __dict__ per fold,
- * so the Python objects stay the single source of truth: fault
- * injectors, reset_counters() and direct offer() calls interleave
- * freely with folded traffic. Loss draws call the link's own
- * rng.random(), consuming the Mersenne stream CPython-exactly, and the
- * double arithmetic mirrors Link.offer's evaluation order so drop
- * decisions and arrival times are bit-identical to the Python fold.
+ * across the whole link sequence in one call. Link keeps its fields in
+ * __slots__; the path resolves each field's slot once, at construction,
+ * and then reads and writes the link objects' slots directly, so the
+ * Python objects stay the single source of truth: fault injectors,
+ * reset_counters() and direct offer() calls interleave freely with
+ * folded traffic. Loss draws call the link's own rng.random(), consuming
+ * the Mersenne stream CPython-exactly, and the double arithmetic mirrors
+ * Link.offer's evaluation order so drop decisions and arrival times are
+ * bit-identical to the Python fold.
  *
  * fold() returns NotImplemented — before touching any state — whenever
  * it cannot reproduce Python semantics exactly (a link-level fault hook
- * is installed, or the offered size would make Python raise); callers
- * then re-fold through the per-link reference loop. */
+ * is installed, an instance-level offer override sits in a link's
+ * __dict__, the offered size would make Python raise, or a link's type
+ * keeps these fields outside slots); callers then re-fold through the
+ * per-link reference loop. */
 
 static PyObject *s_next_free, *s_rate_bps, *s_delay, *s_buffer_bytes,
     *s_loss_rate, *s_rng, *s_fault, *s_packets_sent, *s_packets_dropped,
     *s_packets_lost, *s_bytes_sent, *s_random, *s_offer, *s_dict;
 
+/* The Link fields the fold reads or writes. */
+#define LINK_FIELDS(X)                                                   \
+    X(next_free) X(rate_bps) X(delay) X(buffer_bytes) X(loss_rate)      \
+    X(rng) X(fault) X(packets_sent) X(packets_dropped) X(packets_lost)  \
+    X(bytes_sent)
+
 typedef struct {
     PyObject *link;          /* strong */
-    PyObject *dict;          /* strong; the link's instance __dict__ */
+    PyObject *dict;          /* strong; the link's instance __dict__, or
+                                NULL when its type keeps none */
+#define SLOT_ADDRESS(field) PyObject **field;
+    LINK_FIELDS(SLOT_ADDRESS)  /* addresses inside the (owned) link */
+#undef SLOT_ADDRESS
 } FabricSlot;
 
 typedef struct {
     PyObject_HEAD
     FabricSlot *slots;
     Py_ssize_t n;
+    int slotted;             /* every link's fields resolved to slots */
     PyObject *links;         /* tuple of links, exposed as .links */
 } FabricPathObject;
 
@@ -1277,29 +1292,6 @@ dict_item(PyObject *dict, PyObject *key)
         PyErr_Format(PyExc_AttributeError, "object missing attribute %U",
                      key);
     return value;
-}
-
-static int
-dict_double(PyObject *dict, PyObject *key, double *out)
-{
-    PyObject *value = dict_item(dict, key);
-    if (!value)
-        return -1;
-    *out = PyFloat_AsDouble(value);
-    if (*out == -1.0 && PyErr_Occurred())
-        return -1;
-    return 0;
-}
-
-static int
-dict_set_double(PyObject *dict, PyObject *key, double value)
-{
-    PyObject *obj = PyFloat_FromDouble(value);
-    if (!obj)
-        return -1;
-    int rc = PyDict_SetItem(dict, key, obj);
-    Py_DECREF(obj);
-    return rc;
 }
 
 static int
@@ -1319,6 +1311,81 @@ dict_incr(PyObject *dict, PyObject *key, long long delta)
     return rc;
 }
 
+/* The offset of *type*'s writable object slot *name* (a __slots__
+ * member), or -1, with no error set, when it keeps no such slot. */
+static Py_ssize_t
+slot_offset(PyTypeObject *type, PyObject *name)
+{
+    PyObject *descr = _PyType_Lookup(type, name);
+    if (!descr || !Py_IS_TYPE(descr, &PyMemberDescr_Type)
+        || !PyType_IsSubtype(type, PyDescr_TYPE(descr)))
+        return -1;
+    PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
+    if (member->type != T_OBJECT_EX || (member->flags & READONLY))
+        return -1;
+    return member->offset;
+}
+
+/* The address of *obj*'s slot *name*, or NULL when its type keeps no
+ * such slot. The address stays valid while *obj* is alive. */
+static PyObject **
+slot_address(PyObject *obj, PyObject *name)
+{
+    Py_ssize_t offset = slot_offset(Py_TYPE(obj), name);
+    return offset < 0 ? NULL : (PyObject **)((char *)obj + offset);
+}
+
+/* A slot's value, as Python reads the attribute: AttributeError when
+ * it is unset. */
+static PyObject *
+slot_value(PyObject **slot, PyObject *name)
+{
+    if (!*slot)
+        PyErr_Format(PyExc_AttributeError, "object missing attribute %U",
+                     name);
+    return *slot;
+}
+
+static int
+slot_double(PyObject **slot, PyObject *name, double *out)
+{
+    PyObject *value = slot_value(slot, name);
+    if (!value)
+        return -1;
+    if (PyFloat_CheckExact(value)) {
+        *out = PyFloat_AS_DOUBLE(value);
+        return 0;
+    }
+    *out = PyFloat_AsDouble(value);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int
+slot_set_double(PyObject **slot, double value)
+{
+    PyObject *obj = PyFloat_FromDouble(value);
+    if (!obj)
+        return -1;
+    Py_XSETREF(*slot, obj);
+    return 0;
+}
+
+static int
+slot_incr(PyObject **slot, PyObject *name, long long delta)
+{
+    PyObject *cur = slot_value(slot, name);
+    if (!cur)
+        return -1;
+    long long value = PyLong_AsLongLong(cur);
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    PyObject *next = PyLong_FromLongLong(value + delta);
+    if (!next)
+        return -1;
+    Py_SETREF(*slot, next);
+    return 0;
+}
+
 /* An object's instance __dict__ (a new reference), which its Python
  * attribute reads and writes go through once it has been fetched. */
 static PyObject *
@@ -1332,6 +1399,38 @@ instance_dict(PyObject *obj)
         return NULL;
     }
     return dict;
+}
+
+static void
+fabric_slots_free(FabricSlot *slots, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_CLEAR(slots[i].link);
+        Py_CLEAR(slots[i].dict);
+    }
+    PyMem_Free(slots);
+}
+
+/* Resolve *link*'s slots into *slot*: 1 when every fold field is a
+ * slot, 0 when its type keeps one elsewhere, -1 on error. */
+static int
+fabric_slot_init(FabricSlot *slot, PyObject *link)
+{
+    slot->link = Py_NewRef(link);
+    int slotted = 1;
+#define RESOLVE(field)                                                   \
+    if (!(slot->field = slot_address(link, s_##field)))                  \
+        slotted = 0;
+    LINK_FIELDS(RESOLVE)
+#undef RESOLVE
+    /* The __dict__ that would hold an instance-level offer, if any. */
+    slot->dict = instance_dict(link);
+    if (!slot->dict) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+            return -1;
+        PyErr_Clear();
+    }
+    return slotted;
 }
 
 static int
@@ -1352,35 +1451,25 @@ FabricPath_init(FabricPathObject *self, PyObject *args, PyObject *kwds)
         PyErr_NoMemory();
         return -1;
     }
+    int slotted = 1;
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *link = PyTuple_GET_ITEM(links, i);
-        PyObject *dict = instance_dict(link);
-        if (!dict) {
-            for (Py_ssize_t j = 0; j < i; j++) {
-                Py_CLEAR(slots[j].link);
-                Py_CLEAR(slots[j].dict);
-            }
-            PyMem_Free(slots);
+        int rc = fabric_slot_init(&slots[i], PyTuple_GET_ITEM(links, i));
+        if (rc < 0) {
+            fabric_slots_free(slots, i + 1);
             Py_DECREF(links);
             return -1;
         }
-        Py_INCREF(link);
-        slots[i].link = link;
-        slots[i].dict = dict;
+        slotted &= rc;
     }
     FabricSlot *old_slots = self->slots;
     Py_ssize_t old_n = self->n;
     PyObject *old_links = self->links;
     self->slots = slots;
     self->n = n;
+    self->slotted = slotted;
     self->links = links;
-    if (old_slots) {
-        for (Py_ssize_t j = 0; j < old_n; j++) {
-            Py_CLEAR(old_slots[j].link);
-            Py_CLEAR(old_slots[j].dict);
-        }
-        PyMem_Free(old_slots);
-    }
+    if (old_slots)
+        fabric_slots_free(old_slots, old_n);
     Py_XDECREF(old_links);
     return 0;
 }
@@ -1401,14 +1490,11 @@ FabricPath_clear(FabricPathObject *self)
 {
     Py_CLEAR(self->links);
     if (self->slots) {
-        for (Py_ssize_t i = 0; i < self->n; i++) {
-            Py_CLEAR(self->slots[i].link);
-            Py_CLEAR(self->slots[i].dict);
-        }
-        PyMem_Free(self->slots);
+        fabric_slots_free(self->slots, self->n);
         self->slots = NULL;
     }
     self->n = 0;
+    self->slotted = 0;
     return 0;
 }
 
@@ -1420,13 +1506,13 @@ FabricPath_dealloc(FabricPathObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* fold(now, size_bytes) on a C double: the flood paths call it
+/* fold(now, size_bytes) on a C double: the packet paths call it
  * directly. Returns a new reference (the arrival float, None or
  * NotImplemented), NULL on error. */
 static PyObject *
 fabric_fold(FabricPathObject *self, double now, PyObject *size_obj)
 {
-    if (!PyLong_Check(size_obj))
+    if (!self->slotted || !PyLong_Check(size_obj))
         Py_RETURN_NOTIMPLEMENTED;
     long long size = PyLong_AsLongLong(size_obj);
     if (size == -1 && PyErr_Occurred())
@@ -1437,52 +1523,43 @@ fabric_fold(FabricPathObject *self, double now, PyObject *size_obj)
     /* Pre-scan: bail before touching any state, so the caller's
      * per-link re-fold sees the links exactly as Python would have.
      * Two escape hatches back to the interpreted path: an installed
-     * fault hook, and an instance-level ``offer`` override (tests
-     * monkeypatch individual links) — both live in the same dict. */
+     * fault hook (or none at all, which Python reports), and an
+     * instance-level ``offer`` override (tests monkeypatch individual
+     * links). */
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *fault = PyDict_GetItemWithError(self->slots[i].dict,
-                                                  s_fault);
-        if (!fault) {
+        FabricSlot *slot = &self->slots[i];
+        if (*slot->fault != Py_None)
+            Py_RETURN_NOTIMPLEMENTED;
+        if (slot->dict) {
+            if (PyDict_GetItemWithError(slot->dict, s_offer))
+                Py_RETURN_NOTIMPLEMENTED;
             if (PyErr_Occurred())
                 return NULL;
-            Py_RETURN_NOTIMPLEMENTED;
         }
-        if (fault != Py_None)
-            Py_RETURN_NOTIMPLEMENTED;
-        PyObject *override = PyDict_GetItemWithError(self->slots[i].dict,
-                                                     s_offer);
-        if (override)
-            Py_RETURN_NOTIMPLEMENTED;
-        if (PyErr_Occurred())
-            return NULL;
     }
     double arrival = now;
     double dsize = (double)size;
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *dict = self->slots[i].dict;
+        FabricSlot *slot = &self->slots[i];
         double next_free, rate, buffer, loss;
-        if (dict_double(dict, s_next_free, &next_free) < 0
-            || dict_double(dict, s_rate_bps, &rate) < 0
-            || dict_double(dict, s_buffer_bytes, &buffer) < 0
-            || dict_double(dict, s_loss_rate, &loss) < 0)
+        if (slot_double(slot->next_free, s_next_free, &next_free) < 0
+            || slot_double(slot->rate_bps, s_rate_bps, &rate) < 0
+            || slot_double(slot->buffer_bytes, s_buffer_bytes, &buffer) < 0
+            || slot_double(slot->loss_rate, s_loss_rate, &loss) < 0)
             return NULL;
         double waiting = next_free - arrival;
         if (waiting < 0.0)
             waiting = 0.0;
         if (waiting * rate / 8.0 + dsize > buffer) {
-            if (dict_incr(dict, s_packets_dropped, 1) < 0)
+            if (slot_incr(slot->packets_dropped, s_packets_dropped, 1) < 0)
                 return NULL;
             Py_RETURN_NONE;
         }
         double start = arrival > next_free ? arrival : next_free;
         if (loss > 0.0) {
-            PyObject *rng = PyDict_GetItemWithError(dict, s_rng);
-            if (!rng) {
-                if (!PyErr_Occurred())
-                    PyErr_SetString(PyExc_AttributeError,
-                                    "link object missing attribute rng");
+            PyObject *rng = slot_value(slot->rng, s_rng);
+            if (!rng)
                 return NULL;
-            }
             PyObject *draw_obj = PyObject_CallMethodNoArgs(rng, s_random);
             if (!draw_obj)
                 return NULL;
@@ -1492,21 +1569,19 @@ fabric_fold(FabricPathObject *self, double now, PyObject *size_obj)
                 return NULL;
             if (draw < loss) {
                 /* The frame still occupies air time before being lost. */
-                if (dict_incr(dict, s_packets_lost, 1) < 0
-                    || dict_set_double(dict, s_next_free,
-                                              start + dsize * 8.0
-                                              / rate) < 0)
+                if (slot_incr(slot->packets_lost, s_packets_lost, 1) < 0
+                    || slot_set_double(slot->next_free,
+                                       start + dsize * 8.0 / rate) < 0)
                     return NULL;
                 Py_RETURN_NONE;
             }
         }
         next_free = start + dsize * 8.0 / rate;
-        if (dict_set_double(dict, s_next_free, next_free) < 0
-            || dict_incr(dict, s_packets_sent, 1) < 0
-            || dict_incr(dict, s_bytes_sent, size) < 0)
-            return NULL;
         double delay;
-        if (dict_double(dict, s_delay, &delay) < 0)
+        if (slot_set_double(slot->next_free, next_free) < 0
+            || slot_incr(slot->packets_sent, s_packets_sent, 1) < 0
+            || slot_incr(slot->bytes_sent, s_bytes_sent, size) < 0
+            || slot_double(slot->delay, s_delay, &delay) < 0)
             return NULL;
         arrival = next_free + delay;
     }
@@ -1568,10 +1643,18 @@ static PyTypeObject FabricPath_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* Spoofed-SYN flood paths                                            */
+/* Packet paths                                                       */
 /* ------------------------------------------------------------------ */
-/* The plumbing around listener triage in a spoofed-SYN flood;
- * repro/net/floodpath.py builds both types.
+/* The per-packet plumbing around the Python TCP stack; the builders in
+ * repro/net/floodpath.py construct all three types.
+ *
+ * DeliveryPath is one Network's send and deliver for packets to
+ * registered hosts. The network binds its send in place of the Python
+ * Network.send, so Host.send reaches it with no Python frame between.
+ * send(src, packet) does the tx meters, the fold over the (src, dst)
+ * path, the drop count and one scheduled delivery; the delivery counts
+ * the packet, does the rx meters and hands the packet to the host's
+ * TCPStack.receive (or to the host's own receive when it has one).
  *
  * SynFastPath is one SynFlooder's firing loop. fire() makes the bot's
  * draws with the same rng.getrandbits calls as SpoofingPool.draw(),
@@ -1588,21 +1671,24 @@ static PyTypeObject FabricPath_Type = {
  * SYN-ACK to an unregistered (spoofed) address: tx meters, the uplink
  * fold, and the blackhole or drop count.
  *
- * Both read and write the Python objects' own state (instance
- * __dict__s, the engine's queues), so they interleave freely with the
- * per-packet pipeline. Where that pipeline would do something they do
- * not model, they touch nothing and decline to the existing Python code
- * with a materialized packet: a capture tap or packet fault hook, an
- * instance-level send or receive override, a metered spoofed source, a
- * flow owned by a live connection, a link fault (the fold's
- * NotImplemented). */
+ * All three read and write the Python objects' own state (slots,
+ * instance __dict__s, the engine's queues), so they interleave freely
+ * with the per-packet pipeline, and share one decline predicate
+ * (net_observed), one meter helper (add_to_meters) and the fold. Where
+ * that pipeline would do something they do not model, they touch
+ * nothing and decline to the existing Python code with a real packet:
+ * a capture tap or packet fault hook, an unregistered destination of a
+ * packet, an instance-level send or receive override around a
+ * flyweight, a metered spoofed source, a flow owned by a live
+ * connection, a link fault (the fold's NotImplemented). */
 
 static PyObject *s_running, *s_event, *s_syns_sent, *s_send, *s_receive,
     *s_packet_fault, *s_taps, *s_tx_meters, *s_rx_meters, *s_hosts_by_ip,
     *s_packets_delivered, *s_packets_blackholed, *s_in_segs, *s_net_deliver,
-    *s_src_ip, *s_src_port, *s_seq, *s_sent_at, *s_t0, *s_bin_width,
+    *s_src_ip, *s_src_port, *s_seq, *s_t0, *s_bin_width,
     *s_bins, *s_total, *s_dst_ip, *s_dst_port, *s_size_bytes,
-    *s_tcp_servers, *s_tcp_clients, *s_mib_values, *s_address;
+    *s_tcp_servers, *s_tcp_clients, *s_mib_values, *s_address, *s_name,
+    *s_paths, *s_path_for, *s_tcp, *s_payload_bytes;
 static PyObject *bits16, *bits32, *zero_float;
 
 static int
@@ -1644,6 +1730,36 @@ net_observed(PyObject *net_dict)
     if (fault != Py_None)
         return 1;
     return dict_truth(net_dict, s_taps);
+}
+
+/* Network.send's fold over a cached path: the compiled fold, or, when it
+ * declines (a link fault hook, an offer override), the Python per-link
+ * fold_links. A new reference: the arrival float or None. */
+static PyObject *
+path_fold(FabricPathObject *path, double now, PyObject *size,
+          PyObject *fold_links)
+{
+    PyObject *arrival = fabric_fold(path, now, size);
+    if (arrival != Py_NotImplemented)
+        return arrival;
+    Py_DECREF(arrival);
+    PyObject *at = PyFloat_FromDouble(now);
+    arrival = at ? PyObject_CallFunctionObjArgs(fold_links, path->links, at,
+                                                size, NULL) : NULL;
+    Py_XDECREF(at);
+    return arrival;
+}
+
+/* engine.schedule_at(at, callback, *args) for a delivery; 0 or -1. */
+static int
+schedule_delivery(EngineObject *engine, double at, PyObject *callback,
+                  PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *event = insert_event(engine, at, callback, args, nargs);
+    if (!event)
+        return -1;
+    Py_DECREF(event);
+    return 0;
 }
 
 /* float.__floordiv__ (CPython's _float_div_mod) for wx != 0. */
@@ -1718,13 +1834,14 @@ series_add(PyObject *series, double now, PyObject *size)
     return rc;
 }
 
-/* Network's throughput accounting for one bare frame from or to
- * *address*: its size goes to the bytes series of each (bytes,
- * goodput) pair in net.<which>[address]; a flooded SYN or SYN-ACK
- * carries no payload, so the goodput series are left alone. */
+/* Network's throughput accounting for one frame from or to *address*
+ * (Network.send's and _deliver's loops, written out): its size goes to
+ * the bytes series of each (bytes, goodput) pair in net.<which>[address]
+ * and a non-zero *payload* to the goodput series; a flooded SYN or
+ * SYN-ACK passes NULL, carrying none. */
 static int
 add_to_meters(PyObject *net_dict, PyObject *which, PyObject *address,
-              double now, PyObject *size)
+              double now, PyObject *size, PyObject *payload)
 {
     PyObject *table = dict_item(net_dict, which);
     if (!table)
@@ -1736,6 +1853,9 @@ add_to_meters(PyObject *net_dict, PyObject *which, PyObject *address,
     PyObject *meters = PyDict_GetItemWithError(table, address);
     if (!meters)
         return PyErr_Occurred() ? -1 : 0;
+    int carried = payload ? PyObject_IsTrue(payload) : 0;
+    if (carried < 0)
+        return -1;
     PyObject *pairs = PySequence_Fast(meters, "meters must be a sequence");
     if (!pairs)
         return -1;
@@ -1748,7 +1868,9 @@ add_to_meters(PyObject *net_dict, PyObject *which, PyObject *address,
             rc = -1;
             break;
         }
-        if ((rc = series_add(PyTuple_GET_ITEM(pair, 0), now, size)) < 0)
+        if ((rc = series_add(PyTuple_GET_ITEM(pair, 0), now, size)) < 0
+            || (carried && (rc = series_add(PyTuple_GET_ITEM(pair, 1), now,
+                                            payload)) < 0))
             break;
     }
     Py_DECREF(pairs);
@@ -1861,19 +1983,10 @@ syn_send(SynFastPathObject *self, PyObject *src_ip, PyObject *src_port,
         if (arrival != Py_NotImplemented) {
             double at = PyFloat_AS_DOUBLE(arrival);
             Py_DECREF(arrival);
-            PyObject *sent_at = PyFloat_FromDouble(now);
-            if (!sent_at)
-                return -1;
             /* schedule_at(arrival, deliver, ...): a fold never
              * arrives before now (link rates and delays are checked). */
-            PyObject *args[4] = {src_ip, src_port, seq, sent_at};
-            PyObject *event = insert_event(engine, at, self->deliver_cb,
-                                           args, 4);
-            Py_DECREF(sent_at);
-            if (!event)
-                return -1;
-            Py_DECREF(event);
-            return 0;
+            PyObject *args[3] = {src_ip, src_port, seq};
+            return schedule_delivery(engine, at, self->deliver_cb, args, 3);
         }
         /* A link fault hook: nothing was touched, and the per-packet
          * path replays this send exactly. */
@@ -1942,7 +2055,7 @@ syn_materialized(SynFastPathObject *self, PyObject *owner, PyObject *method,
 {
     PyObject *packet = PyObject_CallFunctionObjArgs(
         self->materialize, args[0], self->dst_ip, args[1], self->dst_port,
-        args[2], args[3], NULL);
+        args[2], NULL);
     if (!packet)
         return NULL;
     PyObject *res = host
@@ -1956,9 +2069,9 @@ static PyObject *
 SynFastPath_deliver(SynFastPathObject *self, PyObject *const *args,
                     Py_ssize_t nargs)
 {
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError, "deliver(src_ip, src_port, seq, "
-                        "sent_at) takes exactly 4 arguments");
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "deliver(src_ip, src_port, seq) "
+                        "takes exactly 3 arguments");
         return NULL;
     }
     if (unbuilt(self->engine))
@@ -1977,7 +2090,7 @@ SynFastPath_deliver(SynFastPathObject *self, PyObject *const *args,
                                 self->server, args);
     if (dict_incr(self->network_dict, s_packets_delivered, 1) < 0
         || add_to_meters(self->network_dict, s_rx_meters, self->dst_ip,
-                         self->engine->now, self->size) < 0)
+                         self->engine->now, self->size, NULL) < 0)
         return NULL;
     /* TCPStack.receive's demux for a SYN, with the listener resolved at
      * build time. */
@@ -1998,8 +2111,7 @@ SynFastPath_deliver(SynFastPathObject *self, PyObject *const *args,
     if (dict_count(self->mib, s_in_segs) < 0
         || PyObject_SetAttr(fw, s_src_ip, args[0]) < 0
         || PyObject_SetAttr(fw, s_src_port, args[1]) < 0
-        || PyObject_SetAttr(fw, s_seq, args[2]) < 0
-        || PyObject_SetAttr(fw, s_sent_at, args[3]) < 0)
+        || PyObject_SetAttr(fw, s_seq, args[2]) < 0)
         return NULL;
     return PyObject_CallOneArg(self->handle_syn, fw);
 }
@@ -2009,7 +2121,7 @@ static PyMethodDef SynFastPath_methods[] = {
      "fire()\nOne SynFlooder._fire: draw, send, count, reschedule."},
     {"deliver", (PyCFunction)(void (*)(void))SynFastPath_deliver,
      METH_FASTCALL,
-     "deliver(src_ip, src_port, seq, sent_at)\n"
+     "deliver(src_ip, src_port, seq)\n"
      "One SYN's arrival at the server, ending in handle_syn."},
     {NULL, NULL, 0, NULL},
 };
@@ -2182,16 +2294,9 @@ ReplyFastPath_send(ReplyFastPathObject *self, PyObject *const *args,
         Py_RETURN_FALSE;
     double now = self->engine->now;
     if (add_to_meters(self->network_dict, s_tx_meters, self->src_ip, now,
-                      size) < 0)
+                      size, NULL) < 0)
         return NULL;
-    PyObject *arrival = fabric_fold(self->path, now, size);
-    if (arrival == Py_NotImplemented) {
-        Py_DECREF(arrival);
-        PyObject *at = PyFloat_FromDouble(now);
-        arrival = at ? PyObject_CallFunctionObjArgs(
-            self->fold_links, self->path->links, at, size, NULL) : NULL;
-        Py_XDECREF(at);
-    }
+    PyObject *arrival = path_fold(self->path, now, size, self->fold_links);
     if (!arrival)
         return NULL;
     /* Droptailed on the uplink, it never reached the backbone. */
@@ -2223,6 +2328,309 @@ static PyTypeObject ReplyFastPath_Type = {
     .tp_clear = (inquiry)ReplyFastPath_clear,
     .tp_methods = ReplyFastPath_methods,
     .tp_init = (initproc)ReplyFastPath_init,
+    .tp_new = PyType_GenericNew,
+};
+
+#define DELIVERY_FIELDS(X)                                               \
+    X(engine) X(network) X(network_dict) X(packet_type) X(forwarder)     \
+    X(fold_links) X(deliver_cb)
+
+typedef struct {
+    PyObject_HEAD
+    EngineObject *engine;     /* set last: NULL until fully built */
+    PyObject *network, *network_dict;
+    PyTypeObject *packet_type;  /* repro.net.packet.Packet */
+    PyObject *forwarder;      /* Host.receive: hands packets to host.tcp */
+    PyObject *fold_links;     /* repro.net.fabric.fold_links */
+    PyObject *deliver_cb;     /* deliver bound to self */
+    /* Packet slot offsets. */
+    Py_ssize_t src_ip, dst_ip, size_bytes, payload_bytes;
+} DeliveryPathObject;
+
+#define PACKET_SLOT(self, packet, field)                                 \
+    (*(PyObject **)((char *)(packet) + (self)->field))
+
+static int
+DeliveryPath_traverse(DeliveryPathObject *self, visitproc visit, void *arg)
+{
+#define VISIT(field) Py_VISIT(self->field);
+    DELIVERY_FIELDS(VISIT)
+#undef VISIT
+    return 0;
+}
+
+static int
+DeliveryPath_clear(DeliveryPathObject *self)
+{
+#define CLEAR(field) Py_CLEAR(self->field);
+    DELIVERY_FIELDS(CLEAR)
+#undef CLEAR
+    return 0;
+}
+
+static void
+DeliveryPath_dealloc(DeliveryPathObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    DeliveryPath_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* The per-packet oracle: type(network).<name>(network, host, packet),
+ * looked up on the class (the instance binds send to this path). */
+static PyObject *
+delivery_oracle(DeliveryPathObject *self, PyObject *name, PyObject *host,
+                PyObject *packet)
+{
+    PyObject *fn = PyObject_GetAttr((PyObject *)Py_TYPE(self->network),
+                                    name);
+    if (!fn)
+        return NULL;
+    PyObject *res = PyObject_CallFunctionObjArgs(fn, self->network, host,
+                                                 packet, NULL);
+    Py_DECREF(fn);
+    return res;
+}
+
+/* The cached path from *src* to *dst*: network._paths[(src.name,
+ * dst.name)], built by network._path_for on a miss. A new reference. */
+static PyObject *
+delivery_path_between(DeliveryPathObject *self, PyObject *src,
+                      PyObject *dst)
+{
+    PyObject *path = NULL, *key = NULL;
+    PyObject *src_name = PyObject_GetAttr(src, s_name);
+    PyObject *dst_name = src_name ? PyObject_GetAttr(dst, s_name) : NULL;
+    PyObject *paths = dst_name ? dict_item(self->network_dict, s_paths)
+                               : NULL;
+    if (paths && !PyDict_Check(paths))
+        PyErr_SetString(PyExc_TypeError, "Network._paths is a dict");
+    else if (paths && (key = PyTuple_Pack(2, src_name, dst_name))) {
+        path = Py_XNewRef(PyDict_GetItemWithError(paths, key));
+        if (!path && !PyErr_Occurred())
+            path = PyObject_CallMethodObjArgs(self->network, s_path_for,
+                                              src_name, dst_name, NULL);
+    }
+    Py_XDECREF(key);
+    Py_XDECREF(dst_name);
+    Py_XDECREF(src_name);
+    return path;
+}
+
+/* Fold, count and schedule one packet to the registered *dst*. */
+static int
+delivery_send(DeliveryPathObject *self, PyObject *src, PyObject *dst,
+              PyObject *packet, PyObject *path)
+{
+    PyObject *net_dict = self->network_dict;
+    PyObject *size = PACKET_SLOT(self, packet, size_bytes);
+    double now = self->engine->now;
+    if (add_to_meters(net_dict, s_tx_meters,
+                      PACKET_SLOT(self, packet, src_ip), now, size,
+                      PACKET_SLOT(self, packet, payload_bytes)) < 0)
+        return -1;
+    PyObject *arrival = path_fold((FabricPathObject *)path, now, size,
+                                  self->fold_links);
+    if (!arrival)
+        return -1;
+    if (arrival == Py_None) {
+        Py_DECREF(arrival);
+        return dict_incr(net_dict, s_packets_dropped, 1);
+    }
+    double at = PyFloat_AsDouble(arrival);
+    Py_DECREF(arrival);
+    if (at == -1.0 && PyErr_Occurred())
+        return -1;
+    PyObject *args[2] = {dst, packet};
+    return schedule_delivery(self->engine, at, self->deliver_cb, args, 2);
+}
+
+static PyObject *
+DeliveryPath_send(DeliveryPathObject *self, PyObject *const *args,
+                  Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "send(src, packet) takes exactly 2 arguments");
+        return NULL;
+    }
+    if (unbuilt(self->engine))
+        return NULL;
+    PyObject *src = args[0], *packet = args[1];
+    /* A packet of another type, or one missing a field, is the
+     * oracle's to send (or to reject). */
+    int declined = !Py_IS_TYPE(packet, self->packet_type)
+        || !PACKET_SLOT(self, packet, src_ip)
+        || !PACKET_SLOT(self, packet, dst_ip)
+        || !PACKET_SLOT(self, packet, size_bytes)
+        || !PACKET_SLOT(self, packet, payload_bytes);
+    if (!declined)
+        declined = net_observed(self->network_dict);
+    PyObject *dst = NULL, *path = NULL;
+    if (!declined) {
+        /* Only a registered destination is delivered and read. */
+        PyObject *hosts = dict_item(self->network_dict, s_hosts_by_ip);
+        if (!hosts)
+            return NULL;
+        if (!PyDict_Check(hosts)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "Network._hosts_by_ip is a dict");
+            return NULL;
+        }
+        dst = Py_XNewRef(PyDict_GetItemWithError(
+            hosts, PACKET_SLOT(self, packet, dst_ip)));
+        if (!dst && PyErr_Occurred())
+            return NULL;
+        declined = !dst;
+    }
+    if (declined < 0)
+        return NULL;
+    if (!declined) {
+        path = delivery_path_between(self, src, dst);
+        if (!path) {
+            Py_DECREF(dst);
+            return NULL;
+        }
+        declined = !Py_IS_TYPE(path, &FabricPath_Type);
+    }
+    if (declined) {
+        Py_XDECREF(dst);
+        Py_XDECREF(path);
+        return delivery_oracle(self, s_send, src, packet);
+    }
+    int rc = delivery_send(self, src, dst, packet, path);
+    Py_DECREF(dst);
+    Py_DECREF(path);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* host.receive(packet). Host.receive only hands the packet to
+ * host.tcp.receive, so for a host whose type keeps it, and whose
+ * instance does not override receive, the stack is called directly. */
+static PyObject *
+delivery_receive(DeliveryPathObject *self, PyObject *host, PyObject *packet)
+{
+    PyTypeObject *type = Py_TYPE(host);
+    if (type->tp_dictoffset
+        && _PyType_Lookup(type, s_receive) == self->forwarder) {
+        PyObject *dict = PyObject_GenericGetDict(host, NULL);
+        if (!dict)
+            return NULL;
+        PyObject *tcp = NULL;
+        int overridden = PyDict_Contains(dict, s_receive);
+        if (!overridden)
+            tcp = Py_XNewRef(PyDict_GetItemWithError(dict, s_tcp));
+        Py_DECREF(dict);
+        if (overridden < 0 || (!tcp && PyErr_Occurred()))
+            return NULL;
+        if (tcp) {
+            PyObject *res = PyObject_CallMethodOneArg(tcp, s_receive,
+                                                      packet);
+            Py_DECREF(tcp);
+            return res;
+        }
+    }
+    return PyObject_CallMethodOneArg(host, s_receive, packet);
+}
+
+static PyObject *
+DeliveryPath_deliver(DeliveryPathObject *self, PyObject *const *args,
+                     Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "deliver(host, packet) takes exactly 2 arguments");
+        return NULL;
+    }
+    if (unbuilt(self->engine))
+        return NULL;
+    PyObject *host = args[0], *packet = args[1];
+    PyObject *net_dict = self->network_dict;
+    int tapped = dict_truth(net_dict, s_taps);
+    if (tapped < 0)
+        return NULL;
+    if (tapped)
+        /* A capture tap appeared between send and delivery. */
+        return delivery_oracle(self, s_net_deliver, host, packet);
+    PyObject *dst_ip = PACKET_SLOT(self, packet, dst_ip);
+    PyObject *size = PACKET_SLOT(self, packet, size_bytes);
+    PyObject *payload = PACKET_SLOT(self, packet, payload_bytes);
+    if (!dst_ip || !size || !payload) {
+        PyErr_SetString(PyExc_AttributeError,
+                        "a delivered packet lost a field in flight");
+        return NULL;
+    }
+    if (dict_incr(net_dict, s_packets_delivered, 1) < 0
+        || add_to_meters(net_dict, s_rx_meters, dst_ip, self->engine->now,
+                         size, payload) < 0)
+        return NULL;
+    return delivery_receive(self, host, packet);
+}
+
+static PyMethodDef DeliveryPath_methods[] = {
+    {"send", (PyCFunction)(void (*)(void))DeliveryPath_send, METH_FASTCALL,
+     "send(src, packet)\n"
+     "Network.send for a packet to a registered host: meters, fold,\n"
+     "drop count and one scheduled delivery; the Python Network.send\n"
+     "when a tap, a packet fault hook or an unregistered destination\n"
+     "asks for it."},
+    {"deliver", (PyCFunction)(void (*)(void))DeliveryPath_deliver,
+     METH_FASTCALL,
+     "deliver(host, packet)\n"
+     "Network._deliver: count, meters, then the host's TCP stack."},
+    {NULL, NULL, 0, NULL},
+};
+
+static int
+DeliveryPath_init(DeliveryPathObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"engine", "network", "packet_type",
+                             "forwarder", "fold_links", NULL};
+    PyObject *engine, *network, *packet_type, *forwarder, *fold_links;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "$O!OO!OO", kwlist,
+                                     &Engine_Type, &engine, &network,
+                                     &PyType_Type, &packet_type,
+                                     &forwarder, &fold_links))
+        return -1;
+    if (self->engine || self->network) {
+        PyErr_SetString(PyExc_TypeError, "DeliveryPath is already built");
+        return -1;
+    }
+    PyTypeObject *type = (PyTypeObject *)packet_type;
+    if ((self->src_ip = slot_offset(type, s_src_ip)) < 0
+        || (self->dst_ip = slot_offset(type, s_dst_ip)) < 0
+        || (self->size_bytes = slot_offset(type, s_size_bytes)) < 0
+        || (self->payload_bytes = slot_offset(type, s_payload_bytes)) < 0) {
+        PyErr_SetString(PyExc_TypeError, "the packet type keeps src_ip, "
+                        "dst_ip, size_bytes and payload_bytes in slots");
+        return -1;
+    }
+    self->network = Py_NewRef(network);
+    self->packet_type = (PyTypeObject *)Py_NewRef(packet_type);
+    self->forwarder = Py_NewRef(forwarder);
+    self->fold_links = Py_NewRef(fold_links);
+    if (!(self->network_dict = instance_dict(network))
+        || !(self->deliver_cb = PyCFunction_NewEx(&DeliveryPath_methods[1],
+                                                  (PyObject *)self, NULL)))
+        return -1;
+    self->engine = (EngineObject *)Py_NewRef(engine);
+    return 0;
+}
+
+static PyTypeObject DeliveryPath_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cengine.DeliveryPath",
+    .tp_basicsize = sizeof(DeliveryPathObject),
+    .tp_dealloc = (destructor)DeliveryPath_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One network's send and deliver to registered hosts "
+              "(compiled core).",
+    .tp_traverse = (traverseproc)DeliveryPath_traverse,
+    .tp_clear = (inquiry)DeliveryPath_clear,
+    .tp_methods = DeliveryPath_methods,
+    .tp_init = (initproc)DeliveryPath_init,
     .tp_new = PyType_GenericNew,
 };
 
@@ -2268,12 +2676,15 @@ PyInit__cengine(void)
         {&s_packets_blackholed, "packets_blackholed"},
         {&s_in_segs, "InSegs"}, {&s_net_deliver, "_deliver"},
         {&s_src_ip, "src_ip"}, {&s_src_port, "src_port"},
-        {&s_seq, "seq"}, {&s_sent_at, "sent_at"}, {&s_t0, "t0"},
+        {&s_seq, "seq"}, {&s_t0, "t0"},
         {&s_bin_width, "bin_width"}, {&s_bins, "_bins"},
         {&s_total, "total"}, {&s_dst_ip, "dst_ip"},
         {&s_dst_port, "dst_port"}, {&s_size_bytes, "size_bytes"},
         {&s_tcp_servers, "_servers"}, {&s_tcp_clients, "_clients"},
         {&s_mib_values, "_mib_values"}, {&s_address, "address"},
+        {&s_name, "name"}, {&s_paths, "_paths"},
+        {&s_path_for, "_path_for"}, {&s_tcp, "tcp"},
+        {&s_payload_bytes, "payload_bytes"},
     };
     for (size_t i = 0; i < sizeof(interned) / sizeof(interned[0]); i++) {
         *interned[i].slot = PyUnicode_InternFromString(interned[i].name);
@@ -2288,7 +2699,8 @@ PyInit__cengine(void)
     if (PyType_Ready(&Event_Type) < 0 || PyType_Ready(&Engine_Type) < 0
         || PyType_Ready(&FabricPath_Type) < 0
         || PyType_Ready(&SynFastPath_Type) < 0
-        || PyType_Ready(&ReplyFastPath_Type) < 0)
+        || PyType_Ready(&ReplyFastPath_Type) < 0
+        || PyType_Ready(&DeliveryPath_Type) < 0)
         return NULL;
     PyObject *mod = PyModule_Create(&cengine_module);
     if (!mod)
@@ -2301,6 +2713,8 @@ PyInit__cengine(void)
                                  (PyObject *)&SynFastPath_Type) < 0
         || PyModule_AddObjectRef(mod, "ReplyFastPath",
                                  (PyObject *)&ReplyFastPath_Type) < 0
+        || PyModule_AddObjectRef(mod, "DeliveryPath",
+                                 (PyObject *)&DeliveryPath_Type) < 0
         || PyModule_AddIntConstant(mod, "WHEEL_SLOTS", WHEEL_SLOTS) < 0
         || PyModule_AddIntConstant(mod, "COMPACT_MIN_HEAP",
                                    COMPACT_MIN_HEAP) < 0) {

@@ -114,12 +114,13 @@ class ClientConnection:
     def _send_syn(self) -> None:
         config = self.config
         host = self.host
-        options = TCPOptions(mss=config.mss, wscale=config.wscale)
-        if config.use_timestamps:
-            options.ts_val = int(host.engine.now * 1000) & 0xFFFFFFFF
-        host.send(Packet(src_ip=host.address, dst_ip=self.remote_ip,
-                         src_port=self.local_port, dst_port=self.remote_port,
-                         seq=self.isn, flags=FLAG_SYN, options=options))
+        # Positional construction: keyword matching costs more than the
+        # constructors' own work at flood rates.
+        ts_val = (int(host.engine.now * 1000) & 0xFFFFFFFF
+                  if config.use_timestamps else None)
+        host.send(Packet(host.address, self.remote_ip, self.local_port,
+                         self.remote_port, self.isn, 0, FLAG_SYN,
+                         TCPOptions(config.mss, config.wscale, ts_val)))
         self._syn_sent += 1
         if self._syn_sent > 1:
             host.mib.incr("SynRetrans")
@@ -214,27 +215,23 @@ class ClientConnection:
         state = self.state
         if state is _CLOSED or state is _RESET:
             return  # aborted while solving
+        host = self.host
         if solution is not None:
-            self.host.mib.incr("PuzzlesSolved")
+            host.mib.incr("PuzzlesSolved")
             if self._solve_started is not None:
-                self.host.obs.hist.record(
-                    "puzzle_solve",
-                    self.host.engine.now - self._solve_started)
-        options = TCPOptions()
-        if self.config.use_timestamps:
-            options.ts_val = int(self.host.engine.now * 1000) & 0xFFFFFFFF
-        options.solution = solution
-        ack_packet = Packet(
-            src_ip=self.host.address, dst_ip=self.remote_ip,
-            src_port=self.local_port, dst_port=self.remote_port,
-            seq=self.isn + 1,
-            ack=(self.remote_isn or 0) + 1,
-            flags=FLAG_ACK, options=options)
-        self.host.send(ack_packet)
+                host.obs.hist.record(
+                    "puzzle_solve", host.engine.now - self._solve_started)
+        ts_val = (int(host.engine.now * 1000) & 0xFFFFFFFF
+                  if self.config.use_timestamps else None)
+        host.send(Packet(host.address, self.remote_ip, self.local_port,
+                         self.remote_port, self.isn + 1,
+                         (self.remote_isn or 0) + 1, FLAG_ACK,
+                         TCPOptions(None, None, ts_val, None, None,
+                                    solution)))
         # TCP enters ESTABLISHED on sending the ACK — even when the server
         # silently ignores it (the paper's deception mechanism, §5).
         self.state = _ESTABLISHED
-        self.established_at = self.host.engine.now
+        self.established_at = host.engine.now
         if self.on_established is not None:
             self.on_established(self)
 
@@ -244,13 +241,11 @@ class ClientConnection:
     def send_data(self, payload_bytes: int, app_data: object = None) -> None:
         if self.state is not _ESTABLISHED:
             return
-        packet = Packet(src_ip=self.host.address, dst_ip=self.remote_ip,
-                        src_port=self.local_port, dst_port=self.remote_port,
-                        seq=self.isn + 1, ack=(self.remote_isn or 0) + 1,
-                        flags=FLAG_PSHACK,
-                        payload_bytes=payload_bytes)
-        packet.app_data = app_data
-        self.host.send(packet)
+        self.host.send(Packet(self.host.address, self.remote_ip,
+                              self.local_port, self.remote_port,
+                              self.isn + 1, (self.remote_isn or 0) + 1,
+                              FLAG_PSHACK, None, payload_bytes, 0,
+                              app_data))
 
     def abort(self) -> None:
         """Local teardown without notifying anyone (attacker hygiene)."""
@@ -325,13 +320,10 @@ class ServerConnection:
         # Aggregate the response into one burst packet; extra_frames keeps
         # the per-MSS-segment header overhead in the byte accounting.
         frames = max(1, math.ceil(payload_bytes / max(1, self.mss)))
-        packet = Packet(src_ip=self.host.address, dst_ip=self.remote_ip,
-                        src_port=self.local_port, dst_port=self.remote_port,
-                        flags=FLAG_PSHACK,
-                        payload_bytes=payload_bytes,
-                        extra_frames=frames - 1)
-        packet.app_data = app_data
-        self.host.send(packet)
+        self.host.send(Packet(self.host.address, self.remote_ip,
+                              self.local_port, self.remote_port, 0, 0,
+                              FLAG_PSHACK, None, payload_bytes, frames - 1,
+                              app_data))
 
     def close(self, reset: bool = False) -> None:
         """Tear down; with *reset*, notify the peer with an RST (how the
@@ -341,8 +333,6 @@ class ServerConnection:
         self.state = _CLOSED
         self.stack.forget_server(self)
         if reset:
-            packet = Packet(src_ip=self.host.address, dst_ip=self.remote_ip,
-                            src_port=self.local_port,
-                            dst_port=self.remote_port,
-                            flags=FLAG_RST)
-            self.host.send(packet)
+            self.host.send(Packet(self.host.address, self.remote_ip,
+                                  self.local_port, self.remote_port, 0, 0,
+                                  FLAG_RST))

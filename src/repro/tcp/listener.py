@@ -434,10 +434,9 @@ class ListenSocket:
             fast = self._resolve_fast_reply()
         if fast is not False and fast.send(size, dst_ip, dst_port):
             return
-        self.host.send(Packet(src_ip=self.host.address, dst_ip=dst_ip,
-                              src_port=self.port, dst_port=dst_port,
-                              seq=seq, ack=ack, flags=FLAG_SYNACK,
-                              options=options(*args)))
+        self.host.send(Packet(self.host.address, dst_ip, self.port,
+                              dst_port, seq, ack, FLAG_SYNACK,
+                              options(*args)))
 
     def _send_plain_synack(self, remote_ip: int, remote_port: int,
                            local_isn: int, remote_isn: int, wscale,

@@ -179,8 +179,6 @@ class TCPStack:
     def _send_rst(self, packet: Packet) -> None:
         values = self._mib_values
         values["OutRsts"] = values.get("OutRsts", 0) + 1
-        rst = Packet(src_ip=self.host.address, dst_ip=packet.src_ip,
-                     src_port=packet.dst_port, dst_port=packet.src_port,
-                     seq=packet.ack, ack=packet.seq + 1,
-                     flags=FLAG_RST)
-        self.host.send(rst)
+        self.host.send(Packet(self.host.address, packet.src_ip,
+                              packet.dst_port, packet.src_port, packet.ack,
+                              packet.seq + 1, FLAG_RST))

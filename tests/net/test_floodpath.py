@@ -247,6 +247,34 @@ class TestCompiledFabricEquivalence:
         assert _link_state(links) == before
         assert fold_links(links, 0.0, 100) is None
 
+    @pytest.mark.skipif(CFabricPath is None,
+                        reason="compiled fabric fold not adopted")
+    def test_links_without_slots_fold_in_python(self):
+        # The compiled fold reads Link's slots; over a link type that
+        # keeps its fields elsewhere it declines, touching nothing, and
+        # the per-link fold gives the slotted links' answer.
+        loose = [_UnslottedLink(link) for link in _mixed_links(7)]
+        before = _link_state(loose)
+        assert CFabricPath(loose).fold(0.0, 100) is NotImplemented
+        assert _link_state(loose) == before
+        slotted = _mixed_links(7)
+        for now in (0.0, 1e-5, 2e-5):
+            assert fold_links(loose, now, 1500) == \
+                CFabricPath(slotted).fold(now, 1500)
+        assert _link_state(loose) == _link_state(slotted)
+
+
+class _UnslottedLink:
+    """A Link look-alike that keeps its fields in an instance __dict__."""
+
+    offer = Link.offer
+    serialization_delay = Link.serialization_delay
+
+    def __init__(self, link):
+        for name in Link.__slots__:
+            if name != "__dict__":
+                setattr(self, name, getattr(link, name))
+
 
 class _EscapingFold:
     """A Python fold with the compiled fold's escape hatches: faulted

@@ -51,6 +51,22 @@ class TestBasics:
             link.offer(0.0, 0)
 
 
+    def test_fields_live_in_slots_with_the_dataclass_surface(self):
+        # The compiled fold reads the fields from their slots; the
+        # keywords, defaults and repr are the ones the dataclass had.
+        link = Link(8e6, name="uplink", packets_sent=3)
+        assert vars(link) == {}
+        assert (link.delay, link.buffer_bytes, link.loss_rate, link.rng,
+                link.fault, link._next_free) == (0.0005, 256 * 1024, 0.0,
+                                                 None, None, 0.0)
+        assert link.packets_sent == 3
+        assert repr(link) == ("Link(rate_bps=8000000.0, delay=0.0005, "
+                              "buffer_bytes=262144, loss_rate=0.0, "
+                              "name='uplink')")
+        with pytest.raises(NetworkError, match="requires an rng"):
+            Link(rate_bps=1.0, loss_rate=0.1)
+
+
 class TestDroptail:
     def test_drops_when_buffer_exceeded(self):
         link = Link(rate_bps=8e3, delay=0.0, buffer_bytes=2000)  # 1 KB/s

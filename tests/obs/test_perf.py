@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from repro.net.fabric import CFabricPath
 from repro.obs.profile import (
     CORE_MODULE,
+    CORE_TYPE_LAYERS,
     LAYERS,
     OTHER,
     Profiler,
@@ -96,20 +98,33 @@ class TestAttributionProfiler:
         assert runs and all(row[0] == "sim" for row in runs)
         assert profiler.layers["sim"][0] >= 1
 
-    def test_compiled_fold_frames_roll_up_under_net(self):
-        # A flood cell with the fabric fold: whichever fold is adopted
-        # (the compiled FabricPath or the Python one) books to net.
+    def test_packet_path_frames_roll_up_under_net(self, monkeypatch):
+        # A connection-flood cell: whichever packet path is adopted (the
+        # compiled DeliveryPath.send, or Network.send folding through
+        # the Python fold) books to net. The compiled send folds inside
+        # C, where cProfile cannot see the fold, so its own frames carry
+        # the check.
         from repro.experiments.scenario import Scenario, ScenarioConfig
 
         config = ScenarioConfig(time_scale=0.005, n_clients=1,
                                 n_attackers=1, attack_style="connect")
         with Profiler() as profiler:
             Scenario(config).run()
-        folds = [row for row in profiler.function_rows()
-                 if row[2] in ("FabricPath.fold", "fold_links")]
-        assert folds and all(row[0] == "net" for row in folds)
-        assert {row[1] for row in folds} <= {CORE_MODULE,
-                                             "repro.net.fabric"}
+
+        def packet_path_rows():
+            return [row for row in profiler.function_rows()
+                    if row[2] in ("DeliveryPath.send", "FabricPath.fold",
+                                  "fold_links")]
+
+        rows = packet_path_rows()
+        assert rows and all(row[0] == "net" for row in rows)
+        assert {row[1] for row in rows} <= {CORE_MODULE,
+                                            "repro.net.fabric"}
+        if CFabricPath is not None:
+            assert "DeliveryPath.send" in {row[2] for row in rows}
+            # The check can fail: book the compiled send elsewhere.
+            monkeypatch.setitem(CORE_TYPE_LAYERS, "DeliveryPath", "sim")
+            assert not all(row[0] == "net" for row in packet_path_rows())
 
     def test_render_components_table(self):
         table = _profiled_engine_run().render_layers()

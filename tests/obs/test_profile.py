@@ -60,6 +60,10 @@ class TestLayerNames:
                 ("<method 'deliver' of 'repro.sim._cengine.SynFastPath' "
                  "objects>", "net"),
                 ("<method 'send' of 'repro.sim._cengine.ReplyFastPath' "
+                 "objects>", "net"),
+                ("<method 'send' of 'repro.sim._cengine.DeliveryPath' "
+                 "objects>", "net"),
+                ("<method 'deliver' of 'repro.sim._cengine.DeliveryPath' "
                  "objects>", "net")):
             module, qualname = _frame_key(text, keys)
             assert module == CORE_MODULE

@@ -1,12 +1,13 @@
 """Soak: repeated flood cells leave no memory behind in the compiled core.
 
 The compiled core's reference counting is hand-written: one missing
-decref per SYN, or a type the cyclic collector cannot traverse, leaks a
-little on every packet or every cell. This test runs the fig7
-``nodefense``, ``cookies`` and ``challenges-m8`` SYN cells round after
-round in one fresh process and requires ``sys.getallocatedblocks()``,
-read after a full collection, to stop growing once the process has
-warmed up.
+decref per SYN or per packet, or a type the cyclic collector cannot
+traverse, leaks a little on every packet or every cell. This test runs
+the fig7 ``nodefense``, ``cookies`` and ``challenges-m8`` SYN cells and
+the fig8 ``cookies`` connection-flood cell (every packet through the
+compiled send and deliver) round after round in one fresh process and
+requires ``sys.getallocatedblocks()``, read after a full collection, to
+stop growing once the process has warmed up.
 """
 
 import json
@@ -32,7 +33,7 @@ from repro.experiments.exp2_floods import FloodExperiment
 from repro.experiments.scenario import ScenarioConfig
 
 base = ScenarioConfig(time_scale=0.005)
-blocks, syns, loops = [], [], set()
+blocks, syns, delivered, loops = [], [], [], set()
 for _ in range(int(sys.argv[1])):
     sent = 0
     for label in ("nodefense", "cookies", "challenges-m8"):
@@ -41,10 +42,17 @@ for _ in range(int(sys.argv[1])):
         sent += result.botnet.aggregate_stats().syns_sent
         loops.update(type(bot._fast).__name__ for bot in result.botnet.bots)
         del result
+    result = FloodExperiment(defense="cookies", attack_style="connect",
+                             base=base).run()
+    network = result.hosts["server"].network
+    loops.add(type(network.send.__self__).__name__)
+    delivered.append(network.packets_delivered)
+    del result, network
     gc.collect()
     blocks.append(sys.getallocatedblocks())
     syns.append(sent)
-print(json.dumps({"blocks": blocks, "syns": syns, "loops": sorted(loops)}))
+print(json.dumps({"blocks": blocks, "syns": syns, "delivered": delivered,
+                  "loops": sorted(loops)}))
 """
 
 
@@ -67,14 +75,16 @@ def _compiled_core_expected() -> bool:
 
 @pytest.mark.skipif(not _compiled_core_expected(),
                     reason="the compiled core is not expected here")
-def test_fig7_syn_cells_hold_no_memory_across_rounds():
+def test_flood_cells_hold_no_memory_across_rounds():
     assert CFabricPath is not None, "the compiled core was not adopted"
     proc = subprocess.run([sys.executable, "-c", _PROBE, str(ROUNDS)],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["loops"] == ["SynFastPath"]
+    assert out["loops"] == ["DeliveryPath", "SynFastPath"]
     assert out["syns"] == [SYNS_PER_ROUND] * ROUNDS
+    assert out["delivered"] == [out["delivered"][0]] * ROUNDS
+    assert out["delivered"][0] > 0
     blocks = out["blocks"]
     growth = [after - before for before, after in zip(blocks, blocks[1:])]
     assert max(growth[-3:]) <= MAX_WARM_GROWTH, growth

@@ -2,6 +2,7 @@
 
 import pathlib
 import py_compile
+import re
 import subprocess
 import sys
 
@@ -103,6 +104,13 @@ class TestDocs:
                          "Fig 10", "Fig 11", "Fig 12", "Fig 13",
                          "Fig 14", "Fig 15", "Table 1"):
             assert artifact in design, artifact
+
+    def test_design_names_only_existing_benchmarks(self):
+        design = (ROOT / "DESIGN.md").read_text()
+        named = set(re.findall(r"benchmarks/[\w./]+\.py", design))
+        assert named
+        assert sorted(path for path in named
+                      if not (ROOT / path).is_file()) == []
 
     def test_benchmarks_cover_every_figure(self):
         names = {p.name for p in (ROOT / "benchmarks").glob("bench_*.py")}
